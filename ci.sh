@@ -68,9 +68,14 @@ for bin in target/release/funseeker target/release/experiments /bin/bash; do
 done
 "$FUNSEEKER" stats --addr "unix:$SOCK" | grep -q "^results_total 3$" \
   || { echo "daemon did not count 3 results"; exit 1; }
+# Shutdown wakes the blocked accept and drains on a condvar: exiting
+# must not wait on any sleep-poll.
+EXIT_T0=$(date +%s%N)
 "$FUNSEEKER" shutdown --addr "unix:$SOCK"
 wait "$SERVE_PID"
+EXIT_MS=$(( ($(date +%s%N) - EXIT_T0) / 1000000 ))
 trap - EXIT
+[ "$EXIT_MS" -le 1000 ] || { echo "daemon took ${EXIT_MS} ms to exit after shutdown (limit 1000)"; exit 1; }
 [ ! -S "$SOCK" ] || { echo "daemon left its socket behind"; exit 1; }
 
 echo "==> serve load smoke (quick mode, >30% duplicate-heavy throughput regression fails)"

@@ -24,9 +24,14 @@
 //!    bit-identical to a local [`funseeker::FunSeeker`] run and land in
 //!    the caches on the way out.
 //!
-//! Live counters are served over the wire ([`stats`]); shutdown (the
-//! `SHUTDOWN` request or [`Server::shutdown`]) drains in-flight work
-//! before the daemon exits.
+//! The accept thread blocks in `accept`, so a new connection costs no
+//! polling delay; each request frame must arrive within a deadline
+//! counted from its first byte (see [`ServerConfig::poll_interval`]) or
+//! its connection is closed. Live counters are served over the wire ([`stats`]).
+//! Shutdown (the `SHUTDOWN` request or [`Server::shutdown`]) wakes the
+//! blocked accept with a connection to the daemon's own address, and
+//! the drain waits on a condition variable until in-flight work has
+//! completed and the last handler has exited.
 //!
 //! ```
 //! use funseeker_client::Client;

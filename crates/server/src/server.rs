@@ -1,21 +1,26 @@
 //! The daemon: socket handling, admission, and request dispatch.
 //!
-//! One OS thread per connection reads frames with a short poll-style
-//! receive timeout (so shutdown is observed within one tick), admits
-//! large request bodies through the shared [`Ballast`] *before*
-//! allocating them, dedups concurrent identical submissions through the
-//! [`FlightTable`], and bounds analysis concurrency with the [`Gate`].
+//! The accept thread blocks in `accept` and hands each connection to
+//! its own OS thread; shutdown wakes it with one connection to its own
+//! bound address. Handlers read frames with a short receive timeout
+//! (so an idle connection observes shutdown within one tick, and a
+//! frame that outlives its deadline is reaped), admit large request
+//! bodies through the shared [`Ballast`] *before* allocating them,
+//! dedup concurrent identical submissions through the [`FlightTable`],
+//! and bound analysis concurrency with the [`Gate`]. Waiting for
+//! shutdown and draining are condition-variable waits, never sleeps.
 //! Every refusal is an explicit wire reply (`BUSY` or a typed `ERROR`)
 //! — the daemon never queues without bound and never drops a request
 //! silently.
 
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::unix::fs::MetadataExt;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use funseeker::{Analysis, Config, Diagnostics};
@@ -39,6 +44,23 @@ const SHUTDOWN_GRACE_POLLS: u32 = 50;
 /// How long a single-flight follower waits for its leader before
 /// replying with an internal error instead of hanging.
 const FOLLOWER_TIMEOUT: Duration = Duration::from_secs(300);
+
+/// The base of every request frame's deadline, in poll ticks
+/// ([`ServerConfig::poll_interval`]), counted from the frame's first
+/// byte: 30 s at the default 200 ms tick.
+const FRAME_DEADLINE_POLLS: u32 = 150;
+
+/// The slowest steady upload, in bytes per second, that a frame's
+/// deadline always allows: once the length prefix is read, the deadline
+/// grows by the declared length at this rate. A sender keeping up
+/// 1 MiB/s (8 Mbit/s) is never reaped, however large its frame.
+const MIN_FRAME_RATE: f64 = (1 << 20) as f64;
+
+/// How long [`Server::join`] waits for the accept thread to exit after
+/// the shutdown wake. The wake only fails when the listening address
+/// is gone (say, the socket file was unlinked); past this bound the
+/// blocked accept thread is detached rather than waited on forever.
+const ACCEPT_EXIT_WAIT: Duration = Duration::from_secs(1);
 
 /// Daemon configuration. Start from [`ServerConfig::unix`] or
 /// [`ServerConfig::tcp`] and override fields as needed.
@@ -72,7 +94,12 @@ pub struct ServerConfig {
     /// Cap on one frame's payload length.
     pub max_frame: usize,
     /// Receive-timeout granularity: how quickly idle handlers observe
-    /// shutdown.
+    /// shutdown, and how late past its deadline a stalled frame is
+    /// reaped. A request frame must arrive within 150 ticks of its
+    /// first byte, plus one second per MiB it declares; a sender still
+    /// short of the last byte then has its connection closed, releasing
+    /// any ballast the frame held (`frames_reaped_total` in `STATS`).
+    /// Idle time between frames is not limited.
     pub poll_interval: Duration,
 }
 
@@ -103,23 +130,72 @@ impl ServerConfig {
     }
 }
 
+/// What [`Server::wait`] and the drain block on, guarded by
+/// `Inner::lifecycle` and signalled through `Inner::changed`.
+#[derive(Default)]
+struct Lifecycle {
+    /// Connections with a live handler thread.
+    open: u64,
+    /// The accept thread has returned and dropped the listener.
+    accept_exited: bool,
+}
+
 /// Shared daemon state: caches, admission gates, counters, shutdown.
 struct Inner {
     config: ServerConfig,
     counters: Counters,
-    connections_open: AtomicU64,
     mem: ResultCache,
     disk: Option<DiskCache>,
     ballast: Ballast,
     gate: Gate,
     flights: FlightTable,
     shutdown: AtomicBool,
+    lifecycle: Mutex<Lifecycle>,
+    /// Notified when shutdown begins, when the last handler exits, and
+    /// when the accept thread exits.
+    changed: Condvar,
+    waker: Waker,
     started: Instant,
 }
 
 impl Inner {
+    // The flag is set with `Release` and read with `Acquire`, so a
+    // thread that sees it also sees what preceded `begin_shutdown`.
     fn shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::Relaxed)
+        self.shutdown.load(Ordering::Acquire)
+    }
+
+    fn state(&self) -> MutexGuard<'_, Lifecycle> {
+        self.lifecycle.lock().expect("no thread panics holding the lifecycle lock")
+    }
+
+    /// Flips the daemon into draining, once: wakes everything waiting
+    /// on the lifecycle, then the accept thread blocked in `accept`.
+    fn begin_shutdown(&self) {
+        if self.shutdown.swap(true, Ordering::AcqRel) {
+            return;
+        }
+        // Notify under the lock, so a waiter between its check of the
+        // flag and its wait cannot miss the signal.
+        self.signal(|_| {});
+        self.waker.wake();
+    }
+
+    /// Updates the lifecycle and signals its waiters.
+    fn signal(&self, update: impl FnOnce(&mut Lifecycle)) {
+        let mut state = self.state();
+        update(&mut state);
+        self.changed.notify_all();
+    }
+
+    /// Retires one connection's handler; the last one out signals the
+    /// drain.
+    fn connection_closed(&self) {
+        let mut state = self.state();
+        state.open -= 1;
+        if state.open == 0 {
+            self.changed.notify_all();
+        }
     }
 
     fn gauges(&self) -> Gauges {
@@ -128,7 +204,7 @@ impl Inner {
             cache_hits: self.mem.hits(),
             cache_misses: self.mem.misses(),
             cache_entries: self.mem.len() as u64,
-            connections_open: self.connections_open.load(Ordering::Relaxed),
+            connections_open: self.state().open,
             queue_depth: self.gate.queued() as u64,
             running: self.gate.running() as u64,
             analyze_slots: self.gate.slots() as u64,
@@ -153,13 +229,50 @@ impl Listener {
             }),
         }
     }
+}
 
-    fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
+/// Where shutdown connects to wake the accept thread out of its
+/// blocking `accept`.
+enum Waker {
+    /// The socket path, and the identity of the socket file bound there.
+    Unix(PathBuf, Option<(u64, u64)>),
+    Tcp(SocketAddr),
+}
+
+impl Waker {
+    /// Connects once and closes at once. The accept thread sees the
+    /// shutdown flag on whatever it accepts next and exits. A failed
+    /// connect is ignored: [`Server::join`] bounds its wait for the
+    /// accept thread instead. A unix path that no longer holds this
+    /// daemon's socket is not connected to at all, since another
+    /// process's listener there might never accept.
+    fn wake(&self) {
         match self {
-            Listener::Unix(l) => l.set_nonblocking(nb),
-            Listener::Tcp(l) => l.set_nonblocking(nb),
+            Waker::Unix(..) => {
+                if let Some(path) = self.own_socket_file() {
+                    let _ = UnixStream::connect(path);
+                }
+            }
+            Waker::Tcp(addr) => {
+                let _ = TcpStream::connect_timeout(addr, ACCEPT_EXIT_WAIT);
+            }
         }
     }
+
+    /// The unix socket path, if the file there is still the one this
+    /// daemon bound.
+    fn own_socket_file(&self) -> Option<&Path> {
+        match self {
+            Waker::Unix(path, id) if id.is_some() && file_id(path) == *id => Some(path),
+            _ => None,
+        }
+    }
+}
+
+/// Identifies a socket file, so shutdown unlinks only the file this
+/// daemon bound and never one another process put at the same path.
+fn file_id(path: &Path) -> Option<(u64, u64)> {
+    std::fs::metadata(path).ok().map(|m| (m.dev(), m.ino()))
 }
 
 enum Conn {
@@ -216,7 +329,7 @@ impl Server {
     /// rebound; a *live* one (something answers a connect) is an
     /// `AddrInUse` error.
     pub fn start(config: ServerConfig) -> io::Result<Server> {
-        let (listener, addr) = match &config.listen {
+        let (listener, addr, waker) = match &config.listen {
             Addr::Unix(path) => {
                 let listener = match UnixListener::bind(path) {
                     Ok(l) => l,
@@ -229,33 +342,36 @@ impl Server {
                     }
                     Err(e) => return Err(e),
                 };
-                (Listener::Unix(listener), Addr::Unix(path.clone()))
+                let waker = Waker::Unix(path.clone(), file_id(path));
+                (Listener::Unix(listener), Addr::Unix(path.clone()), waker)
             }
             Addr::Tcp(hostport) => {
                 let listener = TcpListener::bind(hostport.as_str())?;
                 let actual = listener.local_addr()?;
-                (Listener::Tcp(listener), Addr::Tcp(actual.to_string()))
+                (Listener::Tcp(listener), Addr::Tcp(actual.to_string()), Waker::Tcp(actual))
             }
         };
-        listener.set_nonblocking(true)?;
 
         let inner = Arc::new(Inner {
             counters: Counters::new(),
-            connections_open: AtomicU64::new(0),
             mem: ResultCache::new(),
             disk: config.disk_cache.as_ref().map(DiskCache::new),
             ballast: Ballast::new(config.max_inflight_bytes),
             gate: Gate::new(config.analyze_slots, config.queue_cap),
             flights: FlightTable::new(),
             shutdown: AtomicBool::new(false),
+            lifecycle: Mutex::new(Lifecycle::default()),
+            changed: Condvar::new(),
+            waker,
             started: Instant::now(),
             config,
         });
 
         let accept_inner = inner.clone();
-        let accept = std::thread::Builder::new()
-            .name("fs-accept".into())
-            .spawn(move || accept_loop(&accept_inner, listener))?;
+        let accept = std::thread::Builder::new().name("fs-accept".into()).spawn(move || {
+            accept_loop(&accept_inner, listener);
+            accept_inner.signal(|s| s.accept_exited = true);
+        })?;
         Ok(Server { inner, accept: Some(accept), addr })
     }
 
@@ -267,7 +383,7 @@ impl Server {
 
     /// Initiates shutdown: no new work is admitted, and handlers drain.
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::Relaxed);
+        self.inner.begin_shutdown();
     }
 
     /// Whether shutdown has been initiated (by [`Server::shutdown`] or
@@ -285,23 +401,36 @@ impl Server {
     /// Blocks until a client's `SHUTDOWN` request initiates shutdown,
     /// then drains. This is what `funseeker serve` sits in.
     pub fn wait(self) {
-        while !self.inner.shutting_down() {
-            std::thread::sleep(Duration::from_millis(100));
-        }
+        let state = self.inner.state();
+        let wait = self.inner.changed.wait_while(state, |_| !self.inner.shutting_down());
+        drop(wait.expect("no thread panics holding the lifecycle lock"));
         self.join();
     }
 
     fn join_inner(&mut self) {
-        self.shutdown();
+        self.inner.begin_shutdown();
         if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
+            let state = self.inner.state();
+            let (state, _) = self
+                .inner
+                .changed
+                .wait_timeout_while(state, ACCEPT_EXIT_WAIT, |s| !s.accept_exited)
+                .expect("no thread panics holding the lifecycle lock");
+            let exited = state.accept_exited;
+            drop(state);
+            // An accept thread the wake never reached stays blocked on a
+            // listener nobody can connect to; dropping its handle
+            // detaches it.
+            if exited {
+                let _ = handle.join();
+            }
         }
         // Handlers observe shutdown within one poll tick; in-flight
         // analyses run to completion first.
-        while self.inner.connections_open.load(Ordering::Relaxed) > 0 {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        if let Addr::Unix(path) = &self.addr {
+        let state = self.inner.state();
+        let wait = self.inner.changed.wait_while(state, |s| s.open > 0);
+        drop(wait.expect("no thread panics holding the lifecycle lock"));
+        if let Some(path) = self.inner.waker.own_socket_file() {
             let _ = std::fs::remove_file(path);
         }
     }
@@ -315,15 +444,21 @@ impl Drop for Server {
     }
 }
 
+/// Accepts until shutdown. The listener blocks; shutdown wakes it with
+/// a connection of its own, and whatever is accepted once the flag is
+/// up — the wake included — is closed uncounted, without a handler.
 fn accept_loop(inner: &Arc<Inner>, listener: Listener) {
-    loop {
-        if inner.shutting_down() {
-            return;
-        }
+    while !inner.shutting_down() {
         match listener.accept() {
+            Ok(_) if inner.shutting_down() => return,
             Ok(mut conn) => {
-                let open = inner.connections_open.load(Ordering::Relaxed);
-                if open >= inner.config.max_connections as u64 {
+                let admitted = {
+                    let mut state = inner.state();
+                    let admitted = state.open < inner.config.max_connections as u64;
+                    state.open += u64::from(admitted);
+                    admitted
+                };
+                if !admitted {
                     // Connection-level backpressure: refuse before
                     // spawning, so a connect flood cannot exhaust
                     // threads.
@@ -335,7 +470,6 @@ fn accept_loop(inner: &Arc<Inner>, listener: Listener) {
                     );
                     continue;
                 }
-                inner.connections_open.fetch_add(1, Ordering::Relaxed);
                 Counters::bump(&inner.counters.connections_total);
                 let handler_inner = inner.clone();
                 let spawned = std::thread::Builder::new()
@@ -343,14 +477,11 @@ fn accept_loop(inner: &Arc<Inner>, listener: Listener) {
                     .stack_size(1 << 20)
                     .spawn(move || {
                         handle_connection(&handler_inner, conn);
-                        handler_inner.connections_open.fetch_sub(1, Ordering::Relaxed);
+                        handler_inner.connection_closed();
                     });
                 if spawned.is_err() {
-                    inner.connections_open.fetch_sub(1, Ordering::Relaxed);
+                    inner.connection_closed();
                 }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
             }
             Err(_) => {
                 // Transient accept failure (e.g. fd exhaustion): back
@@ -385,6 +516,8 @@ enum Step<'a> {
     Eof,
     /// Shutdown observed while idle between frames.
     Drain,
+    /// The frame missed its deadline; any ballast it held is released.
+    Reaped,
     /// A framing defect.
     Fail(ProtoError),
 }
@@ -393,14 +526,25 @@ fn would_block(e: &io::Error) -> bool {
     matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
 }
 
-/// Fills `buf` completely, polling across receive timeouts. Once
-/// shutdown begins, at most [`SHUTDOWN_GRACE_POLLS`] further timeouts
-/// are tolerated before the sender is abandoned. `Ok(false)` reports
-/// end-of-stream.
-fn read_full(inner: &Inner, conn: &mut Conn, buf: &mut [u8]) -> Result<bool, ProtoError> {
+/// Fills `buf` completely, polling across receive timeouts, unless the
+/// frame's `deadline` passes first: the receive timeout bounds how late
+/// a silent sender is noticed, and a check per read catches one that
+/// drips bytes faster than the timeout. Once shutdown begins, at most
+/// [`SHUTDOWN_GRACE_POLLS`] further timeouts are tolerated before the
+/// sender is abandoned. `Ok(false)` reports end-of-stream; an `Err` is
+/// the step ending the frame (`Reaped` or `Fail`).
+fn read_full(
+    inner: &Inner,
+    conn: &mut Conn,
+    buf: &mut [u8],
+    deadline: Instant,
+) -> Result<bool, Step<'static>> {
     let mut filled = 0;
     let mut grace = SHUTDOWN_GRACE_POLLS;
     while filled < buf.len() {
+        if Instant::now() >= deadline {
+            return Err(Step::Reaped);
+        }
         match conn.read(&mut buf[filled..]) {
             Ok(0) => return Ok(false),
             Ok(n) => filled += n,
@@ -408,12 +552,12 @@ fn read_full(inner: &Inner, conn: &mut Conn, buf: &mut [u8]) -> Result<bool, Pro
                 if inner.shutting_down() {
                     grace -= 1;
                     if grace == 0 {
-                        return Err(ProtoError::Truncated);
+                        return Err(Step::Fail(ProtoError::Truncated));
                     }
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(ProtoError::Io(e)),
+            Err(e) => return Err(Step::Fail(ProtoError::Io(e))),
         }
     }
     Ok(true)
@@ -421,13 +565,18 @@ fn read_full(inner: &Inner, conn: &mut Conn, buf: &mut [u8]) -> Result<bool, Pro
 
 /// Reads and discards `len` body bytes after an admission refusal, so
 /// the connection stays frame-aligned without ever buffering the body.
-fn discard_body(inner: &Inner, conn: &mut Conn, len: usize) -> Result<(), ProtoError> {
+fn discard_body(
+    inner: &Inner,
+    conn: &mut Conn,
+    len: usize,
+    deadline: Instant,
+) -> Result<(), Step<'static>> {
     let mut sink = [0u8; 8192];
     let mut remaining = len;
     while remaining > 0 {
         let chunk = remaining.min(sink.len());
-        if !read_full(inner, conn, &mut sink[..chunk])? {
-            return Err(ProtoError::Truncated);
+        if !read_full(inner, conn, &mut sink[..chunk], deadline)? {
+            return Err(Step::Fail(ProtoError::Truncated));
         }
         remaining -= chunk;
     }
@@ -450,10 +599,11 @@ fn read_step<'a>(inner: &'a Inner, conn: &mut Conn) -> Step<'a> {
             Err(e) => return Step::Fail(ProtoError::Io(e)),
         }
     }
-    match read_full(inner, conn, &mut prefix[1..]) {
+    let base = Instant::now() + inner.config.poll_interval * FRAME_DEADLINE_POLLS;
+    match read_full(inner, conn, &mut prefix[1..], base) {
         Ok(true) => {}
         Ok(false) => return Step::Fail(ProtoError::Truncated),
-        Err(e) => return Step::Fail(e),
+        Err(step) => return step,
     }
     let len = u32::from_le_bytes(prefix) as usize;
     if len > inner.config.max_frame {
@@ -462,6 +612,7 @@ fn read_step<'a>(inner: &'a Inner, conn: &mut Conn) -> Step<'a> {
     if len < 2 {
         return Step::Fail(ProtoError::Malformed("payload shorter than version + type"));
     }
+    let deadline = base + Duration::from_secs_f64(len as f64 / MIN_FRAME_RATE);
 
     // Ballast admission for large bodies happens *before* the body is
     // read or allocated: a refused request costs the daemon one 8 KiB
@@ -469,9 +620,9 @@ fn read_step<'a>(inner: &'a Inner, conn: &mut Conn) -> Step<'a> {
     let hold = if len > SMALL_FRAME {
         let amount = funseeker_batch::inflight_estimate(len);
         if !inner.ballast.acquire_bounded(amount, inner.config.ballast_waiters) {
-            return match discard_body(inner, conn, len) {
+            return match discard_body(inner, conn, len, deadline) {
                 Ok(()) => Step::AdmissionBusy,
-                Err(e) => Step::Fail(e),
+                Err(step) => step,
             };
         }
         Some(BallastHold { ballast: &inner.ballast, amount })
@@ -480,13 +631,13 @@ fn read_step<'a>(inner: &'a Inner, conn: &mut Conn) -> Step<'a> {
     };
 
     let mut payload = vec![0u8; len];
-    match read_full(inner, conn, &mut payload) {
+    match read_full(inner, conn, &mut payload, deadline) {
         Ok(true) => {
             Counters::add(&inner.counters.bytes_in_total, 4 + len as u64);
             Step::Frame(payload, hold)
         }
         Ok(false) => Step::Fail(ProtoError::Truncated),
-        Err(e) => Step::Fail(e),
+        Err(step) => step,
     }
 }
 
@@ -530,6 +681,12 @@ fn handle_connection(inner: &Arc<Inner>, mut conn: Conn) {
                 if !send_busy(inner, &mut conn) {
                     return;
                 }
+            }
+            Step::Reaped => {
+                // The sender is too slow to answer: close without a
+                // reply, as for a truncated frame.
+                Counters::bump(&inner.counters.frames_reaped_total);
+                return;
             }
             Step::Fail(err) => {
                 Counters::bump(&inner.counters.proto_errors_total);
@@ -583,7 +740,7 @@ fn dispatch(inner: &Inner, conn: &mut Conn, payload: &[u8], hold: Option<Ballast
             send(inner, proto::write_stats(conn, &text))
         }
         Request::Shutdown => {
-            inner.shutdown.store(true, Ordering::Relaxed);
+            inner.begin_shutdown();
             let _ = send(inner, proto::write_simple_response(conn, proto::T_BYE));
             false
         }
@@ -817,5 +974,46 @@ mod tests {
         client.ping().unwrap();
         drop(client);
         second.join();
+    }
+
+    /// Shuts `server` down and checks the wake ended the accept thread
+    /// promptly without being counted as a connection or given a
+    /// handler.
+    fn assert_wake_is_uncounted(server: Server) {
+        server.shutdown();
+        let state = server.inner.state();
+        let (state, _) = server
+            .inner
+            .changed
+            .wait_timeout_while(state, Duration::from_secs(5), |s| !s.accept_exited)
+            .unwrap();
+        assert!(state.accept_exited, "the wake reached the blocked accept");
+        assert_eq!(state.open, 0);
+        drop(state);
+        assert_eq!(server.inner.counters.connections_total.load(Ordering::Relaxed), 0);
+        server.join();
+    }
+
+    #[test]
+    fn shutdown_wake_is_closed_uncounted() {
+        // A wildcard TCP bind is woken by a connect to its own address.
+        assert_wake_is_uncounted(Server::start(ServerConfig::tcp("0.0.0.0:0")).unwrap());
+        assert_wake_is_uncounted(Server::start(ServerConfig::unix(sock_path("wake"))).unwrap());
+    }
+
+    #[test]
+    fn shutdown_leaves_a_replaced_socket_path_alone() {
+        let path = sock_path("replaced");
+        let server = Server::start(ServerConfig::unix(&path)).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        // Another listener takes the path; one that never accepts
+        // could stall a wake that connected to it.
+        let foreign = UnixListener::bind(&path).unwrap();
+        server.join();
+        foreign.set_nonblocking(true).unwrap();
+        let pending = foreign.accept().map(drop);
+        assert!(matches!(&pending, Err(e) if e.kind() == io::ErrorKind::WouldBlock), "{pending:?}");
+        assert!(path.exists(), "the foreign socket file stays");
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -26,6 +26,11 @@ pub struct Counters {
     pub errors_total: AtomicU64,
     /// Connections torn down by a framing-level protocol defect.
     pub proto_errors_total: AtomicU64,
+    /// Connections closed because a request frame was still incomplete
+    /// at its deadline (150 `ServerConfig::poll_interval` ticks plus one
+    /// second per declared MiB, counted from the frame's first byte):
+    /// slow-drip senders.
+    pub frames_reaped_total: AtomicU64,
     /// `ANALYZE` requests served by joining a concurrent in-flight
     /// analysis of the same (image, config).
     pub singleflight_shared: AtomicU64,
@@ -111,6 +116,7 @@ impl Counters {
         line("busy_total", c(&self.busy_total));
         line("errors_total", c(&self.errors_total));
         line("proto_errors_total", c(&self.proto_errors_total));
+        line("frames_reaped_total", c(&self.frames_reaped_total));
         line("cache_hits", g.cache_hits);
         line("cache_misses", g.cache_misses);
         line("cache_entries", g.cache_entries);
