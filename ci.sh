@@ -54,6 +54,16 @@ echo "==> funseeker --callgraph smoke on a real ELF"
 cargo run --release -q -p funseeker-server --bin funseeker -- \
   --callgraph target/release/funseeker | grep "direct edges" > /dev/null
 
+echo "==> funseeker into a closed pipe: exit 0, nothing on stderr"
+PIPE_ERR="$(mktemp)"
+target/release/funseeker target/release/funseeker 2> "$PIPE_ERR" | head -1 > /dev/null \
+  || { echo "funseeker | head -1 failed under pipefail"; cat "$PIPE_ERR"; exit 1; }
+[ ! -s "$PIPE_ERR" ] || { echo "funseeker | head -1 wrote to stderr:"; cat "$PIPE_ERR"; exit 1; }
+rm -f "$PIPE_ERR"
+
+echo "==> daemon e2e tests in the release profile (build-profile-dependent sizes)"
+cargo test --release -q -p funseeker-server --test e2e
+
 echo "==> serve smoke: daemon results must match direct analysis"
 FUNSEEKER=target/release/funseeker
 SOCK="$(mktemp -d)/funseeker-ci.sock"

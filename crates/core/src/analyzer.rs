@@ -171,7 +171,15 @@ impl FunSeeker {
 
     /// Identifies function entries in a raw ELF image.
     pub fn identify(&self, bytes: &[u8]) -> Result<Analysis, Error> {
-        let analysis = self.identify_prepared(&prepare(bytes)?);
+        self.identify_checked(&prepare(bytes)?)
+    }
+
+    /// [`identify`](FunSeeker::identify) for an already-prepared binary:
+    /// [`identify_prepared`](FunSeeker::identify_prepared) plus the
+    /// strict-mode check, for callers that keep the prepared binary for
+    /// further passes (call graph, disassembly).
+    pub fn identify_checked(&self, prepared: &Prepared<'_>) -> Result<Analysis, Error> {
+        let analysis = self.identify_prepared(prepared);
         if self.strict && !analysis.diagnostics.is_empty() {
             return Err(Error::Strict(analysis.diagnostics));
         }

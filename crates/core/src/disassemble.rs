@@ -13,6 +13,7 @@ use std::collections::BTreeSet;
 use funseeker_disasm::{kernels, par_sweep, InsnKind, InsnStream, Insns, KernelTier, SweepStats};
 
 use crate::parse::Parsed;
+use crate::FuncSet;
 
 /// Width bound for the parallel sweep: the *actual* pool width — which
 /// honors `FUNSEEKER_CORES`/`--cores` — rather than a fresh
@@ -47,8 +48,9 @@ pub struct SweepIndex {
     pub regions: Vec<RegionSpan>,
     /// `E`: addresses of end-branch instructions in the code.
     pub endbrs: Vec<u64>,
-    /// `C`: direct call targets that land inside the analyzed code.
-    pub call_targets: BTreeSet<u64>,
+    /// `C`: direct call targets that land inside the analyzed code,
+    /// sorted and deduplicated.
+    pub call_targets: FuncSet,
     /// Direct unconditional jumps: `(site, target)` pairs with in-code
     /// targets — the raw `J` with provenance, which SELECTTAILCALL needs.
     pub jmp_edges: Vec<(u64, u64)>,
@@ -122,20 +124,25 @@ pub fn scan_endbr_pattern(p: &Parsed<'_>) -> Vec<u64> {
 }
 
 /// Sweeps every code region and builds the shared index.
+///
+/// `E`, `C`, `J` and the call sites come from two column walks of each
+/// region's packed stream — the end-branch tag scan and the direct-branch
+/// bitmap walk — so only the few percent of instructions that carry
+/// evidence are ever reconstructed.
 pub fn disassemble(p: &Parsed<'_>) -> SweepIndex {
     let mode = p.mode();
     let shards = sweep_shards();
     let mut out = SweepIndex::default();
+    let mut call_targets = Vec::new();
     for region in p.code.regions() {
         let swept = par_sweep(region.bytes, region.addr, mode, shards);
-        let first = out.insns.len();
-        for insn in &swept.stream {
+        out.endbrs.extend(swept.stream.endbr_addrs());
+        for insn in swept.stream.direct_calls_and_jumps() {
             match insn.kind {
-                InsnKind::Endbr64 | InsnKind::Endbr32 => out.endbrs.push(insn.addr),
                 InsnKind::CallRel { target } => {
                     out.call_sites.push((insn.end(), target));
                     if p.in_code(target) {
-                        out.call_targets.insert(target);
+                        call_targets.push(target);
                     }
                 }
                 InsnKind::JmpRel { target } if p.in_code(target) => {
@@ -144,7 +151,12 @@ pub fn disassemble(p: &Parsed<'_>) -> SweepIndex {
                 _ => {}
             }
         }
-        out.insns.append(&swept.stream);
+        let first = out.insns.len();
+        if out.regions.is_empty() {
+            out.insns = swept.stream; // the common single-region case: no copy
+        } else {
+            out.insns.append(&swept.stream);
+        }
         out.regions.push(RegionSpan {
             start: region.addr,
             end: region.end(),
@@ -154,6 +166,7 @@ pub fn disassemble(p: &Parsed<'_>) -> SweepIndex {
         out.decode_errors += swept.error_count;
         out.stats.merge(&swept.stats);
     }
+    out.call_targets = call_targets.into_iter().collect();
     // Seal the finished stream: FILTERENDBR / SELECTTAILCALL probe it
     // with `insn_at` / `insns_in` millions of times, and sealing turns
     // each probe's binary search into an O(1) bitmap rank query.

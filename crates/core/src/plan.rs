@@ -108,8 +108,6 @@ pub struct AnalysisPlan {
     entries_all: Vec<u64>,
     /// `E′` — the kept classes, sorted.
     entries_filtered: Vec<u64>,
-    /// `C` as a sorted slice (mirrors the sweep's set).
-    call_targets: Vec<u64>,
     /// `E ∪ C`, pre-merged.
     cands_unfiltered: Vec<u64>,
     /// `E′ ∪ C`, pre-merged — the default candidate base.
@@ -212,10 +210,8 @@ impl AnalysisPlan {
 
         // --- Candidate bases and the jump-target set. ---
         let t = Instant::now();
-        self.call_targets.clear();
-        self.call_targets.extend(sweep.call_targets.iter().copied());
-        merge_union_into(&self.entries_all, &self.call_targets, &mut self.cands_unfiltered);
-        merge_union_into(&self.entries_filtered, &self.call_targets, &mut self.cands_filtered);
+        merge_union_into(&self.entries_all, &sweep.call_targets, &mut self.cands_unfiltered);
+        merge_union_into(&self.entries_filtered, &sweep.call_targets, &mut self.cands_filtered);
         self.jmp_targets.clear();
         self.jmp_targets.extend(sweep.jmp_edges.iter().map(|&(_, t)| t));
         self.jmp_targets.sort_unstable();
@@ -291,7 +287,7 @@ impl AnalysisPlan {
             if !self.reach_built {
                 let roots = std::iter::once(self.entry)
                     .chain(self.entries_all.iter().copied())
-                    .chain(self.call_targets.iter().copied());
+                    .chain(sweep.call_targets.iter().copied());
                 crate::callgraph::reachable_insns_into(
                     sweep,
                     roots,
@@ -300,11 +296,11 @@ impl AnalysisPlan {
                 );
                 self.reach_built = true;
             }
-            let (reach, call_targets) = (&self.reach, &self.call_targets);
+            let (reach, call_targets) = (&self.reach, &sweep.call_targets);
             let before = scratch.functions.len();
             scratch.functions.retain(|&f| {
                 entries.binary_search(&f).is_ok()
-                    || call_targets.binary_search(&f).is_ok()
+                    || call_targets.contains(&f)
                     || f == parsed.entry
                     || sweep.insn_at(f).is_some_and(|i| reach[i / 64] >> (i % 64) & 1 == 1)
             });
@@ -342,7 +338,7 @@ impl AnalysisPlan {
             text_range: self.text_range,
             endbr_count: self.endbr_count,
             filtered_endbrs: self.endbr_count - entries.len(),
-            call_target_count: self.call_targets.len(),
+            call_target_count: sweep.call_targets.len(),
             jmp_target_count: self.jmp_targets.len(),
             tail_target_count: tail_count,
             decode_errors: self.decode_errors,
@@ -389,7 +385,6 @@ impl AnalysisPlan {
     pub fn capacity_bytes(&self) -> usize {
         let u64s = self.entries_all.capacity()
             + self.entries_filtered.capacity()
-            + self.call_targets.capacity()
             + self.cands_unfiltered.capacity()
             + self.cands_filtered.capacity()
             + self.jmp_targets.capacity()

@@ -746,7 +746,10 @@ impl InsnStream {
             stream: self,
             i: start,
             end,
-            seg: if start < self.len() { self.seg_of(start) } else { 0 },
+            at: AddrCursor {
+                stream: self,
+                seg: if start < self.len() { self.seg_of(start) } else { 0 },
+            },
             tgt: self.tgts.rank(start),
         }
     }
@@ -757,6 +760,47 @@ impl InsnStream {
     pub fn push_reg_indices(&self, reg: u8) -> impl Iterator<Item = usize> + '_ {
         let tag = TAG_PUSH + (reg & 0x0f);
         self.tags.iter().enumerate().filter(move |&(_, &t)| t == tag).map(|(i, _)| i)
+    }
+
+    /// Addresses of the `ENDBR64`/`ENDBR32` instructions, ascending —
+    /// `E` straight from the tag column, scanned 64 tags at a time, with
+    /// no [`Insn`] built for anything else.
+    pub fn endbr_addrs(&self) -> impl Iterator<Item = u64> + '_ {
+        let mut at = AddrCursor::new(self);
+        self.tags
+            .chunks(64)
+            .enumerate()
+            .flat_map(|(c, chunk)| {
+                let mut mask = 0u64;
+                for (k, &t) in chunk.iter().enumerate() {
+                    // ENDBR64 and ENDBR32 are the adjacent tags 1 and 2.
+                    mask |= u64::from(t.wrapping_sub(TAG_ENDBR64) < 2) << k;
+                }
+                std::iter::from_fn(move || {
+                    (mask != 0).then(|| {
+                        let k = mask.trailing_zeros() as usize;
+                        mask &= mask - 1;
+                        c * 64 + k
+                    })
+                })
+            })
+            .map(move |i| at.addr(i))
+    }
+
+    /// The direct `CALL` and `JMP` instructions (`Jcc` skipped), in
+    /// order — a walk of the branch-membership bitmap's set bits with
+    /// the dense target cursor, with no [`Insn`] built for anything
+    /// else.
+    pub fn direct_calls_and_jumps(&self) -> impl Iterator<Item = Insn> + '_ {
+        let mut at = AddrCursor::new(self);
+        self.tgts.ones_iter().zip(&self.tgt_val).filter_map(move |(i, &target)| {
+            let kind = match self.tags[i] {
+                TAG_CALL_REL => InsnKind::CallRel { target },
+                TAG_JMP_REL => InsnKind::JmpRel { target },
+                _ => return None,
+            };
+            Some(Insn { addr: at.addr(i), len: self.lens[i], kind })
+        })
     }
 
     /// Appends a copy of `other`, preserving its segmentation — used to
@@ -818,6 +862,31 @@ impl InsnStream {
     }
 }
 
+/// Address lookup for ascending instruction indices: a segment cursor
+/// that only moves forward, where [`InsnStream::addr_at`] binary-searches
+/// the segment list on every call.
+#[derive(Debug, Clone)]
+struct AddrCursor<'a> {
+    stream: &'a InsnStream,
+    seg: usize,
+}
+
+impl<'a> AddrCursor<'a> {
+    fn new(stream: &'a InsnStream) -> Self {
+        AddrCursor { stream, seg: 0 }
+    }
+
+    /// Address of instruction `i`; `i` must not decrease between calls.
+    #[inline]
+    fn addr(&mut self, i: usize) -> u64 {
+        let segs = &self.stream.segs;
+        while self.seg + 1 < segs.len() && segs[self.seg + 1].first <= i {
+            self.seg += 1;
+        }
+        segs[self.seg].base.wrapping_add(u64::from(self.stream.offs[i]))
+    }
+}
+
 /// Result of a sealed-path address probe.
 enum SealedHit {
     /// The address precedes every segment.
@@ -843,14 +912,14 @@ impl<'a> IntoIterator for &'a InsnStream {
 
 /// Iterator reconstructing [`Insn`] values from the packed arrays.
 ///
-/// Keeps a segment cursor and a side-table cursor so each step is O(1):
+/// Keeps an address cursor and a side-table cursor so each step is O(1):
 /// no binary searches in the loop.
 #[derive(Debug, Clone)]
 pub struct Insns<'a> {
     stream: &'a InsnStream,
     i: usize,
     end: usize,
-    seg: usize,
+    at: AddrCursor<'a>,
     tgt: usize,
 }
 
@@ -863,9 +932,6 @@ impl Iterator for Insns<'_> {
         }
         let s = self.stream;
         let i = self.i;
-        while self.seg + 1 < s.segs.len() && s.segs[self.seg + 1].first <= i {
-            self.seg += 1;
-        }
         let tag = s.tags[i];
         let target = if has_target(tag) {
             // invariant: every direct-branch tag has a dense target at
@@ -878,11 +944,7 @@ impl Iterator for Insns<'_> {
             0
         };
         self.i += 1;
-        Some(Insn {
-            addr: s.segs[self.seg].base.wrapping_add(u64::from(s.offs[i])),
-            len: s.lens[i],
-            kind: kind_from(tag, target),
-        })
+        Some(Insn { addr: self.at.addr(i), len: s.lens[i], kind: kind_from(tag, target) })
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -1071,6 +1133,63 @@ mod tests {
         let mut want: Vec<_> = a.iter().map(|i| i.addr).collect();
         want.extend([0x9000, 0x9001]);
         assert_eq!(got, want);
+    }
+
+    /// A three-segment stream long enough that both column walks cross
+    /// 64-instruction chunk and bitmap-word boundaries, with every kind
+    /// the walks must pick out or skip.
+    fn multi_segment_stream() -> InsnStream {
+        let (_, a) = sample();
+        let kinds = [
+            InsnKind::Other,
+            InsnKind::Endbr32,
+            InsnKind::JmpRel { target: 0x10 },
+            InsnKind::Jcc { target: 0x20 },
+            InsnKind::CallRel { target: 0x30 },
+            InsnKind::Endbr64,
+            InsnKind::PushReg { reg: 5 },
+            InsnKind::CallInd { notrack: true },
+        ];
+        let mut b = InsnStream::new();
+        b.begin_segment(0x9000);
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for k in 0..300u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let kind = kinds[(x % kinds.len() as u64) as usize];
+            b.push(Insn { addr: 0x9000 + 3 * k, len: 3, kind });
+        }
+        let mut c = InsnStream::new();
+        c.begin_segment(0x4_0000_0000);
+        c.push(Insn { addr: 0x4_0000_0000, len: 4, kind: InsnKind::Endbr64 });
+        c.push(Insn { addr: 0x4_0000_0004, len: 5, kind: InsnKind::JmpRel { target: 0x9000 } });
+        let mut all = InsnStream::new();
+        all.append(&a);
+        all.append(&b);
+        all.append(&c);
+        all
+    }
+
+    #[test]
+    fn endbr_walk_matches_the_insn_filter() {
+        let s = multi_segment_stream();
+        let want: Vec<u64> = s.iter().filter(|i| i.kind.is_endbr()).map(|i| i.addr).collect();
+        assert!(want.len() > 64, "the walk must cross chunk boundaries");
+        assert_eq!(s.endbr_addrs().collect::<Vec<_>>(), want);
+        assert_eq!(InsnStream::new().endbr_addrs().count(), 0);
+    }
+
+    #[test]
+    fn direct_branch_walk_matches_the_insn_filter() {
+        let s = multi_segment_stream();
+        let want: Vec<Insn> = s
+            .iter()
+            .filter(|i| matches!(i.kind, InsnKind::CallRel { .. } | InsnKind::JmpRel { .. }))
+            .collect();
+        assert!(want.len() > 64, "the walk must cross bitmap words");
+        assert_eq!(s.direct_calls_and_jumps().collect::<Vec<_>>(), want);
+        assert_eq!(InsnStream::new().direct_calls_and_jumps().count(), 0);
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //! `unix:<path>` or `tcp:<host>:<port>`; the default is
 //! `unix:$TMPDIR/funseeker.sock`.
 
+use std::io::{self, BufWriter, Write};
+
 use funseeker::{Config, FunSeeker};
 use funseeker_client::{Addr, Client};
 use funseeker_elf::Image;
@@ -55,22 +57,42 @@ fn config_for(id: u8) -> Config {
     }
 }
 
+/// Exit status of a subcommand that ran to completion (0 or 1), or the
+/// stdout write error that cut it short.
+type Status = io::Result<i32>;
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
+    // Every printer writes through this one buffered handle: a line per
+    // `println!` would be a `write(2)` per address.
+    let mut out = BufWriter::new(io::stdout().lock());
+    let status = match args.first().map(String::as_str) {
         Some("serve") => cmd_serve(&args[1..]),
-        Some("submit") => cmd_submit(&args[1..]),
-        Some("stats") => cmd_stats(&args[1..]),
+        Some("submit") => cmd_submit(&args[1..], &mut out),
+        Some("stats") => cmd_stats(&args[1..], &mut out),
         Some("shutdown") => cmd_shutdown(&args[1..]),
-        _ => cmd_local(&args),
-    }
+        _ => cmd_local(&args, &mut out),
+    };
+    let code = match status.and_then(|code| out.flush().map(|()| code)) {
+        Ok(code) => code,
+        // The reader went away (`funseeker bin | head`): nothing left
+        // to say to anyone.
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => 0,
+        Err(e) => {
+            eprintln!("funseeker: cannot write output: {e}");
+            1
+        }
+    };
+    // `exit` skips the buffer's destructor, so a failed flush is not
+    // retried on the way out.
+    std::process::exit(code);
 }
 
 // ---------------------------------------------------------------------
 // Local analysis (the original CLI)
 // ---------------------------------------------------------------------
 
-fn cmd_local(args: &[String]) {
+fn cmd_local(args: &[String], out: &mut impl Write) -> Status {
     let mut config = Config::c4();
     let mut summary = false;
     let mut disasm = false;
@@ -110,45 +132,53 @@ fn cmd_local(args: &[String]) {
                 continue;
             }
         };
-        match seeker.identify(&bytes) {
-            Ok(analysis) => {
-                for warning in analysis.diagnostics.iter() {
-                    eprintln!("{path}: warning: {warning}");
-                }
-                if summary {
-                    print_summary(path, &analysis);
-                } else if callgraph {
-                    if paths.len() > 1 {
-                        println!("# {path}");
-                    }
-                    print_call_graph(&bytes, &analysis);
-                } else if disasm {
-                    if paths.len() > 1 {
-                        println!("# {path}");
-                    }
-                    print_disassembly(&bytes, &analysis);
-                } else {
-                    if paths.len() > 1 {
-                        println!("# {path}");
-                    }
-                    for addr in &analysis.functions {
-                        println!("{addr:#x}");
-                    }
-                }
-            }
+        // One parse and one sweep serve the analysis and every printer.
+        let analyzed =
+            funseeker::prepare(&bytes).and_then(|p| Ok((seeker.identify_checked(&p)?, p)));
+        let (analysis, prepared) = match analyzed {
+            Ok(done) => done,
             Err(e) => {
                 eprintln!("{path}: {e}");
                 failed = true;
+                continue;
             }
+        };
+        for warning in analysis.diagnostics.iter() {
+            eprintln!("{path}: warning: {warning}");
+        }
+        if summary {
+            print_summary(out, path, &analysis)?;
+            continue;
+        }
+        if paths.len() > 1 {
+            writeln!(out, "# {path}")?;
+        }
+        if callgraph {
+            print_call_graph(out, &prepared, &analysis)?;
+        } else if disasm {
+            print_disassembly(out, &prepared.parsed, &analysis)?;
+        } else {
+            print_functions(out, &analysis)?;
         }
     }
-    if failed {
-        std::process::exit(1);
-    }
+    Ok(i32::from(failed))
 }
 
-fn print_summary(path: &str, analysis: &funseeker::Analysis) {
-    println!(
+/// The default output: one function entry address per line, in hex.
+fn print_functions(out: &mut impl Write, analysis: &funseeker::Analysis) -> io::Result<()> {
+    for addr in &analysis.functions {
+        writeln!(out, "{addr:#x}")?;
+    }
+    Ok(())
+}
+
+fn print_summary(
+    out: &mut impl Write,
+    path: &str,
+    analysis: &funseeker::Analysis,
+) -> io::Result<()> {
+    writeln!(
+        out,
         "{path}: {} functions ({} endbr, {} filtered, {} call targets, {} tail targets, {} decode errors){}",
         analysis.functions.len(),
         analysis.endbr_count,
@@ -157,65 +187,75 @@ fn print_summary(path: &str, analysis: &funseeker::Analysis) {
         analysis.tail_target_count,
         analysis.decode_errors,
         if analysis.cet_enabled { "" } else { " [no CET property note]" }
-    );
+    )
 }
 
 /// Prints the call graph over the identified entries: every resolved
 /// direct/tail edge, then the CET-constrained indirect summary.
-fn print_call_graph(bytes: &[u8], analysis: &funseeker::Analysis) {
-    let Ok(prepared) = funseeker::prepare(bytes) else { return };
-    let entries: Vec<u64> = analysis.functions.iter().copied().collect();
-    let graph = funseeker::build_call_graph(&prepared.index, &entries);
-    println!(
+fn print_call_graph(
+    out: &mut impl Write,
+    prepared: &funseeker::Prepared<'_>,
+    analysis: &funseeker::Analysis,
+) -> io::Result<()> {
+    let graph = funseeker::build_call_graph(&prepared.index, &analysis.functions);
+    writeln!(
+        out,
         "{} nodes, {} direct edges, {} tail edges",
         graph.nodes.len(),
         graph.direct_count(),
         graph.tail_count(),
-    );
+    )?;
     for e in &graph.edges {
         let kind = match e.kind {
             funseeker::CallKind::Direct => "call",
             funseeker::CallKind::Tail => "tail",
         };
         match e.caller {
-            Some(caller) => println!("{:#x}: {kind} {:#x} -> {:#x}", caller, e.site, e.callee),
-            None => println!("?: {kind} {:#x} -> {:#x}", e.site, e.callee),
+            Some(caller) => {
+                writeln!(out, "{:#x}: {kind} {:#x} -> {:#x}", caller, e.site, e.callee)?
+            }
+            None => writeln!(out, "?: {kind} {:#x} -> {:#x}", e.site, e.callee)?,
         }
     }
-    println!(
+    writeln!(
+        out,
         "indirect: {} call sites, {} jump sites, {} notrack; {} endbr targets",
         graph.indirect_call_sites.len(),
         graph.indirect_jump_sites.len(),
         graph.notrack_sites,
         graph.indirect_targets.len(),
-    );
+    )
 }
 
 /// Prints the disassembly of every code region with identified function
 /// entries marked.
-fn print_disassembly(bytes: &[u8], analysis: &funseeker::Analysis) {
-    let Ok(parsed) = funseeker::parse::parse(bytes) else { return };
+fn print_disassembly(
+    out: &mut impl Write,
+    parsed: &funseeker::parse::Parsed<'_>,
+    analysis: &funseeker::Analysis,
+) -> io::Result<()> {
     let mode = parsed.mode();
     for region in parsed.code.regions() {
-        println!("\nDisassembly of section {}:", region.name);
+        writeln!(out, "\nDisassembly of section {}:", region.name)?;
         let mut off = 0usize;
         while off < region.bytes.len() {
             let addr = region.addr.wrapping_add(off as u64);
             if analysis.functions.contains(&addr) {
-                println!("\n{addr:#x} <fn>:");
+                writeln!(out, "\n{addr:#x} <fn>:")?;
             }
             match funseeker_disasm::format_insn(&region.bytes[off..], addr, mode) {
                 Ok((text, len)) => {
-                    println!("  {addr:#x}: {text}");
+                    writeln!(out, "  {addr:#x}: {text}")?;
                     off += len;
                 }
                 Err(_) => {
-                    println!("  {addr:#x}: (bad) {:02x}", region.bytes[off]);
+                    writeln!(out, "  {addr:#x}: (bad) {:02x}", region.bytes[off])?;
                     off += 1;
                 }
             }
         }
     }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -233,7 +273,7 @@ fn parse_num(v: &str) -> usize {
     v.parse().unwrap_or_else(|_| usage())
 }
 
-fn cmd_serve(args: &[String]) {
+fn cmd_serve(args: &[String]) -> Status {
     // `--cores` must fix the pool width before anything touches the
     // global pool — including the config defaults below, which derive
     // `analyze_slots` from it — so scan for it first.
@@ -272,6 +312,7 @@ fn cmd_serve(args: &[String]) {
     // Blocks until a client's `shutdown` request, then drains.
     server.wait();
     eprintln!("funseeker serve: drained, exiting");
+    Ok(0)
 }
 
 fn connect(addr: &str) -> Client {
@@ -281,7 +322,7 @@ fn connect(addr: &str) -> Client {
     })
 }
 
-fn cmd_submit(args: &[String]) {
+fn cmd_submit(args: &[String], out: &mut impl Write) -> Status {
     let mut addr = default_addr();
     let mut config_id = 4u8;
     let mut summary = false;
@@ -316,13 +357,16 @@ fn cmd_submit(args: &[String]) {
         match client.analyze_retry(&bytes, config_id, callgraph, 8) {
             Ok(reply) => {
                 if summary {
-                    print_summary(path, &reply.analysis);
-                } else if callgraph {
-                    if paths.len() > 1 {
-                        println!("# {path}");
-                    }
+                    print_summary(out, path, &reply.analysis)?;
+                    continue;
+                }
+                if paths.len() > 1 {
+                    writeln!(out, "# {path}")?;
+                }
+                if callgraph {
                     match reply.analysis.interproc {
-                        Some(ip) => println!(
+                        Some(ip) => writeln!(
+                            out,
                             "{} cfgs, {} blocks, {} cfg edges; {} direct, {} tail; {} indirect sites -> {} targets",
                             ip.cfg_count,
                             ip.block_count,
@@ -331,16 +375,11 @@ fn cmd_submit(args: &[String]) {
                             ip.tail_call_edges,
                             ip.indirect_sites,
                             ip.indirect_targets,
-                        ),
-                        None => println!("(no interprocedural summary)"),
+                        )?,
+                        None => writeln!(out, "(no interprocedural summary)")?,
                     }
                 } else {
-                    if paths.len() > 1 {
-                        println!("# {path}");
-                    }
-                    for addr in &reply.analysis.functions {
-                        println!("{addr:#x}");
-                    }
+                    print_functions(out, &reply.analysis)?;
                 }
             }
             Err(e) => {
@@ -349,9 +388,7 @@ fn cmd_submit(args: &[String]) {
             }
         }
     }
-    if failed {
-        std::process::exit(1);
-    }
+    Ok(i32::from(failed))
 }
 
 fn addr_only(args: &[String]) -> String {
@@ -366,25 +403,27 @@ fn addr_only(args: &[String]) -> String {
     addr
 }
 
-fn cmd_stats(args: &[String]) {
+fn cmd_stats(args: &[String], out: &mut impl Write) -> Status {
     let mut client = connect(&addr_only(args));
     match client.stats() {
         Ok(stats) => {
             for (name, value) in stats.iter() {
-                println!("{name} {value}");
+                writeln!(out, "{name} {value}")?;
             }
+            Ok(0)
         }
         Err(e) => {
             eprintln!("funseeker stats: {e}");
-            std::process::exit(1);
+            Ok(1)
         }
     }
 }
 
-fn cmd_shutdown(args: &[String]) {
+fn cmd_shutdown(args: &[String]) -> Status {
     let mut client = connect(&addr_only(args));
     if let Err(e) = client.shutdown() {
         eprintln!("funseeker shutdown: {e}");
-        std::process::exit(1);
+        return Ok(1);
     }
+    Ok(0)
 }

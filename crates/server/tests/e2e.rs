@@ -314,6 +314,25 @@ fn slow_drip_frame_is_reaped_at_its_deadline() {
     server.join();
 }
 
+/// A small CET-style x86-64 executable zero-padded to exactly 3 MiB,
+/// the same size in every build profile (this test binary is under
+/// 2 MiB in release and many times that in debug). The padding lies
+/// outside every ELF-described region, so it only lengthens the frame.
+fn three_mib_image() -> Vec<u8> {
+    use funseeker_elf::{Class, ElfBuilder, Machine, ObjectType};
+    let mut text = Vec::new();
+    for _ in 0..4096 {
+        // endbr64; call <next>; ret
+        text.extend_from_slice(&[0xf3, 0x0f, 0x1e, 0xfa, 0xe8, 0, 0, 0, 0, 0xc3]);
+    }
+    let mut b = ElfBuilder::new(Class::Elf64, Machine::X86_64, ObjectType::Executable);
+    b.entry(0x40_1000).text(".text", 0x40_1000, text);
+    let mut image = b.build().unwrap();
+    assert!(image.len() < 3 << 20);
+    image.resize(3 << 20, 0);
+    image
+}
+
 #[test]
 fn large_frame_at_a_steady_rate_outlasts_the_base_deadline() {
     use funseeker_client::proto::{self, Response};
@@ -324,7 +343,7 @@ fn large_frame_at_a_steady_rate_outlasts_the_base_deadline() {
 
     // An honest multi-MiB upload paced over about 0.8 s: longer than
     // the 300 ms base, well inside the second per MiB its length adds.
-    let image = padded(&own_exe(), 0x57ea);
+    let image = three_mib_image();
     assert!(image.len() > 2 << 20, "the image is large enough to earn a longer deadline");
     let mut frame = Vec::new();
     proto::write_analyze(&mut frame, 4, 0, &image).unwrap();
