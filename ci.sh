@@ -42,7 +42,7 @@ echo "==> batch engine smoke (quick mode, >30% cold-cache regression fails)"
 cargo run --release -q -p funseeker-eval --bin experiments -- \
   batch --quick --check BENCH_batch.json
 
-echo "==> shared-plan analyze smoke (quick mode; plan slower than naive or >30% regression fails)"
+echo "==> shared-plan analyze smoke (quick mode; plan slower than replan or >30% regression fails)"
 cargo run --release -q -p funseeker-eval --bin experiments -- \
   analyze --quick --check BENCH_batch.json
 
@@ -63,6 +63,9 @@ rm -f "$PIPE_ERR"
 
 echo "==> daemon e2e tests in the release profile (build-profile-dependent sizes)"
 cargo test --release -q -p funseeker-server --test e2e
+
+echo "==> perfbench smoke test (the benchmark harness still builds against the core API)"
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "==> serve smoke: daemon results must match direct analysis"
 FUNSEEKER=target/release/funseeker

@@ -10,26 +10,29 @@
 //! | `notrack` switch labels | `BTI j` (jump-only, **not** entries) |
 //! | direct `call` targets `C` | `BL` targets |
 //! | direct `jmp` targets `J` | `B` targets |
-//! | SELECTTAILCALL | identical — reused from the core crate |
+//! | SELECTTAILCALL | identical |
 //!
 //! Two x86 complications vanish on ARM: fixed-width instructions make
 //! the sweep trivially exact, and `BTI j` *syntactically* distinguishes
 //! the jump-only landing pads that FILTERENDBR had to infer from LSDAs
 //! on x86.
+//!
+//! The identifier is only an evidence adapter: it tags `BTI c` /
+//! `BTI jc` / `PACIASP` as [`EndbrClass::Plain`] and `BTI j` as
+//! [`EndbrClass::LandingPad`] (a pad that is never a call target), and
+//! the core crate's [`AnalysisPlan`] runs Algorithm 1's set algebra.
 
-use std::collections::BTreeSet;
-
-use funseeker::tailcall::select_tail_calls;
+use funseeker::{AnalysisPlan, Config, EndbrClass, Evidence, FuncSet, Scratch};
 use funseeker_elf::Elf;
 
-use crate::decode::sweep_a64;
+use crate::decode::{sweep_a64, A64Kind};
 use crate::emit::EM_AARCH64;
 
 /// Analysis result for one AArch64 binary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArmAnalysis {
     /// Identified function entries.
-    pub functions: BTreeSet<u64>,
+    pub functions: FuncSet,
     /// Number of call-valid landing pads seen.
     pub landing_count: usize,
     /// Number of jump-only (`BTI j`) pads skipped.
@@ -50,6 +53,20 @@ pub struct BtiConfig {
 impl Default for BtiConfig {
     fn default() -> Self {
         BtiConfig { select_tail_calls: true, min_tail_referers: 2 }
+    }
+}
+
+impl From<BtiConfig> for Config {
+    /// FILTERENDBR always runs (it drops `BTI j`); tail-call selection
+    /// brings in `J′`, and without it no jump target is a candidate.
+    fn from(c: BtiConfig) -> Config {
+        Config {
+            filter_endbr: true,
+            include_jump_targets: c.select_tail_calls,
+            select_tail_calls: c.select_tail_calls,
+            min_tail_referers: c.min_tail_referers,
+            ..Config::c1()
+        }
     }
 }
 
@@ -81,51 +98,43 @@ impl BtiSeeker {
         let text_end = text_addr + text.len() as u64;
         let in_text = |a: u64| a >= text_addr && a < text_end;
 
-        let mut landings = BTreeSet::new();
-        let mut bti_j = 0usize;
-        let mut call_targets = BTreeSet::new();
-        let mut jmp_edges: Vec<(u64, u64)> = Vec::new();
+        // The sweep walks ascending addresses, so `endbrs` comes out
+        // sorted and distinct.
+        let mut endbrs = Vec::new();
+        let mut call_targets = Vec::new();
+        let mut jmp_edges = Vec::new();
         for (addr, kind) in sweep_a64(text, text_addr) {
             if kind.is_call_landing() {
-                landings.insert(addr);
+                endbrs.push((addr, EndbrClass::Plain));
             } else if kind.is_jump_only_landing() {
-                bti_j += 1;
+                endbrs.push((addr, EndbrClass::LandingPad));
             }
             match kind {
-                crate::decode::A64Kind::Bl { target } if in_text(target) => {
-                    call_targets.insert(target);
-                }
-                crate::decode::A64Kind::B { target } if in_text(target) => {
-                    jmp_edges.push((addr, target));
-                }
+                A64Kind::Bl { target } if in_text(target) => call_targets.push(target),
+                A64Kind::B { target } if in_text(target) => jmp_edges.push((addr, target)),
                 _ => {}
             }
         }
+        call_targets.sort_unstable();
+        call_targets.dedup();
 
-        let landing_count = landings.len();
-        let mut functions = landings;
-        functions.extend(call_targets.iter().copied());
-
-        let mut tail_count = 0;
-        if self.config.select_tail_calls {
-            // SELECTTAILCALL takes its candidates as a sorted slice; the
-            // BTreeSet iterates in exactly that order.
-            let candidates: Vec<u64> = functions.iter().copied().collect();
-            let tails = select_tail_calls(
-                &candidates,
-                &jmp_edges,
-                self.config.min_tail_referers,
-                &[text_addr],
-            );
-            tail_count = tails.len();
-            functions.extend(tails);
-        }
-
+        let evidence = Evidence {
+            entry: elf.header.entry,
+            text_range: (text_addr, text_end),
+            endbrs: &endbrs,
+            call_targets: &call_targets,
+            jmp_edges: &jmp_edges,
+            region_starts: &[text_addr],
+        };
+        let mut plan = AnalysisPlan::new();
+        let mut scratch = Scratch::new();
+        plan.rebuild_from(&evidence, &mut scratch);
+        let analysis = plan.derive_from(&self.config.into(), &evidence, &mut scratch);
         Ok(ArmAnalysis {
-            functions,
-            landing_count,
-            bti_j_count: bti_j,
-            tail_target_count: tail_count,
+            functions: analysis.functions,
+            landing_count: plan.class_count(EndbrClass::Plain),
+            bti_j_count: plan.class_count(EndbrClass::LandingPad),
+            tail_target_count: analysis.tail_target_count,
         })
     }
 }
@@ -142,7 +151,7 @@ mod tests {
         let mut fn_ = 0usize;
         for seed in 0..30u64 {
             let bin = generate(ArmParams::default(), seed);
-            let truth = bin.entries();
+            let truth: FuncSet = bin.entries().into_iter().collect();
             let a = BtiSeeker::new().identify(&bin.bytes).unwrap();
             tp += a.functions.intersection(&truth).count();
             fp += a.functions.difference(&truth).count();
@@ -173,7 +182,7 @@ mod tests {
     fn residual_misses_are_dead_code() {
         for seed in 0..10u64 {
             let bin = generate(ArmParams::default(), seed);
-            let truth = bin.entries();
+            let truth: FuncSet = bin.entries().into_iter().collect();
             let a = BtiSeeker::new().identify(&bin.bytes).unwrap();
             for missed in truth.difference(&a.functions) {
                 let f = bin.functions.iter().find(|f| f.addr == *missed).unwrap();

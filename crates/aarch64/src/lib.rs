@@ -10,8 +10,8 @@
 //!   `BL`/`B`/conditional branches, `BLR`/`BR`/`RET`),
 //! * [`emit`] — a seeded BTI-enabled AArch64 corpus generator with exact
 //!   ground truth,
-//! * [`identify`] — the BTI-based identifier, reusing the core crate's
-//!   SELECTTAILCALL verbatim.
+//! * [`identify`] — the BTI-based identifier: an evidence adapter that
+//!   feeds the core crate's shared Algorithm-1 plan.
 //!
 //! ```
 //! use funseeker_aarch64::{generate, ArmParams, BtiSeeker};

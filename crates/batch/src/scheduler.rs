@@ -439,13 +439,11 @@ pub fn analyze_hashed(
 /// misses each unresolved key.
 ///
 /// This is where the shared [`AnalysisPlan`] pays off: the plan is
-/// rebuilt **at most once** per call — one pass over the parse and the
-/// sweep that materializes every config-invariant primitive — and each
-/// missing configuration is then derived from it by set algebra.
-/// (`derive` itself falls back to the staged pipeline for the rare
-/// configurations the plan cannot express, so the output is always
-/// bit-identical to `run_stages_with`.) Also returns the per-stage
-/// counters this call charged.
+/// rebuilt **once** per image, on the first miss — one pass over the
+/// parse and the sweep that materializes every config-invariant
+/// primitive — and each missing configuration is then derived from it
+/// by set algebra. Also returns the per-stage counters this call
+/// charged.
 fn compute_missing(
     image_hash: u64,
     configs: &[Config],
@@ -462,7 +460,7 @@ fn compute_missing(
             .zip(resolved)
             .map(|(config, hit)| {
                 hit.unwrap_or_else(|| {
-                    if !rebuilt && AnalysisPlan::supports(config) {
+                    if !rebuilt {
                         plan.rebuild(&prepared.parsed, &prepared.index, scratch);
                         rebuilt = true;
                     }
@@ -505,8 +503,7 @@ mod tests {
         assert_eq!(out.stats.unique_images, 1);
         assert_eq!(out.stats.parse_errors, 0);
         assert!(out.stats.parse_ns > 0 && out.stats.sweep_ns > 0 && out.stats.analyze_ns > 0);
-        // The plan-derived analyze stage charges the same per-stage
-        // counters the unfused pipeline would.
+        // The plan-derived analyze stage charges the per-stage counters.
         assert!(out.stats.stage.total_ns() > 0);
         assert!(out.stats.stage.entry_candidates > 0);
         assert!(out.stats.stage.final_candidates > 0);
@@ -514,8 +511,9 @@ mod tests {
 
     #[test]
     fn extension_configs_match_fresh_sequential_analysis() {
-        // Mixes plan-derivable configurations with ones `derive` must
-        // fall back on (pattern scan), through the full batch path.
+        // Mixes the extension toggles with the pattern-scan `E` input
+        // (which re-keys the plan) and unfiltered tail-call selection,
+        // through the full batch path.
         let image = own_exe();
         let configs = [
             Config::c4(),

@@ -1,10 +1,10 @@
 //! Shared-plan analysis: the plan-once four-configuration derivation vs
-//! the naive four independent stage runs, over the benchmark corpus's
+//! re-planning for every configuration, over the benchmark corpus's
 //! prepared images (parse + sweep excluded — this isolates the back
 //! end the [`funseeker::AnalysisPlan`] fuses).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use funseeker::{prepare, AnalysisPlan, Config, FunSeeker, Prepared, Scratch};
+use funseeker::{prepare, AnalysisPlan, Config, Prepared, Scratch};
 use funseeker_bench::bench_dataset;
 
 fn bench(c: &mut Criterion) {
@@ -17,20 +17,18 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("analysis_plan");
     g.throughput(Throughput::Elements(prepared.len() as u64));
 
-    // Four full stage pipelines per binary, shared scratch arena — the
-    // pre-plan analyze stage at its best.
+    // A rebuild before every derivation, shared scratch arena and plan —
+    // what a caller analyzing one configuration at a time pays.
     let mut scratch = Scratch::new();
-    g.bench_function("naive_4config", |b| {
+    let mut plan = AnalysisPlan::new();
+    g.bench_function("replan_4config", |b| {
         b.iter(|| {
             let mut functions = 0usize;
             for p in &prepared {
                 for cfg in &configs {
-                    let a = FunSeeker::with_config(*cfg).run_stages_with(
-                        &p.parsed,
-                        &p.index,
-                        &mut scratch,
-                    );
-                    functions += a.functions.len();
+                    plan.rebuild(&p.parsed, &p.index, &mut scratch);
+                    functions +=
+                        plan.derive(cfg, &p.parsed, &p.index, &mut scratch).functions.len();
                 }
             }
             std::hint::black_box(functions)
@@ -39,7 +37,6 @@ fn bench(c: &mut Criterion) {
 
     // One plan rebuild per binary, each configuration derived by set
     // algebra.
-    let mut plan = AnalysisPlan::new();
     g.bench_function("plan_4config", |b| {
         b.iter(|| {
             let mut functions = 0usize;

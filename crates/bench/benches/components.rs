@@ -41,8 +41,7 @@ fn bench(c: &mut Criterion) {
     }
 
     // Ablation: SELECTTAILCALL's "multiple referers" threshold.
-    let parsed = funseeker::parse::parse(&bin.bytes).unwrap();
-    let sweep = funseeker::disassemble::disassemble(&parsed);
+    let prepared = funseeker::prepare(&bin.bytes).unwrap();
     for min_referers in [1usize, 2, 3] {
         let cfg = funseeker::Config { min_tail_referers: min_referers, ..funseeker::Config::c4() };
         let seeker = funseeker::FunSeeker::with_config(cfg);
@@ -50,7 +49,7 @@ fn bench(c: &mut Criterion) {
             BenchmarkId::new("selecttailcall_min_referers", min_referers),
             &min_referers,
             |b, _| {
-                b.iter(|| std::hint::black_box(seeker.run_stages(&parsed, &sweep).functions.len()))
+                b.iter(|| std::hint::black_box(seeker.identify_prepared(&prepared).functions.len()))
             },
         );
     }

@@ -2,7 +2,7 @@
 //! how much each stage (FILTERENDBR, J, SELECTTAILCALL) costs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use funseeker::{Config, FunSeeker};
+use funseeker::{AnalysisPlan, Config, FunSeeker, Scratch};
 use funseeker_bench::single_binary;
 
 fn bench(c: &mut Criterion) {
@@ -14,14 +14,18 @@ fn bench(c: &mut Criterion) {
             b.iter(|| std::hint::black_box(seeker.identify(bytes).unwrap().functions.len()))
         });
     }
-    // Stage reuse: parse+sweep once, run all four stage combinations.
+    // Stage reuse: parse+sweep once, one plan, all four configurations
+    // derived from it.
     g.bench_function("all_four_shared_sweep", |b| {
         b.iter(|| {
             let parsed = funseeker::parse::parse(&bin.bytes).unwrap();
             let sweep = funseeker::disassemble::disassemble(&parsed);
+            let mut plan = AnalysisPlan::new();
+            let mut scratch = Scratch::new();
+            plan.rebuild(&parsed, &sweep, &mut scratch);
             let mut n = 0;
             for (_, cfg) in Config::table2() {
-                n += FunSeeker::with_config(cfg).run_stages(&parsed, &sweep).functions.len();
+                n += plan.derive(&cfg, &parsed, &sweep, &mut scratch).functions.len();
             }
             std::hint::black_box(n)
         })

@@ -1,15 +1,12 @@
 //! The FunSeeker analyzer — Algorithm 1 end to end.
 
-use std::time::Instant;
-
 use crate::config::Config;
 use crate::disassemble::{disassemble, SweepIndex};
 use crate::error::Error;
-use crate::filter::filter_endbr_into;
 use crate::funcset::FuncSet;
 use crate::parse::{parse, Parsed};
+use crate::plan::AnalysisPlan;
 use crate::scratch::Scratch;
-use crate::tailcall::select_tail_calls_into;
 
 /// A binary with its front-end work done: parsed sections plus the one
 /// shared disassembly pass.
@@ -68,6 +65,26 @@ pub struct InterprocSummary {
     /// CET-constrained indirect-target candidates (ENDBR-marked
     /// entries).
     pub indirect_targets: usize,
+}
+
+impl InterprocSummary {
+    /// Builds the CFGs and the call graph over `functions` and records
+    /// their sizes.
+    pub(crate) fn of(sweep: &SweepIndex, functions: &[u64]) -> InterprocSummary {
+        let cfgs = crate::cfg::build_cfgs(sweep, functions);
+        let graph = crate::callgraph::build_call_graph(sweep, functions);
+        InterprocSummary {
+            cfg_count: cfgs.len(),
+            block_count: cfgs.iter().map(|c| c.blocks.len()).sum(),
+            cfg_edge_count: cfgs.iter().map(crate::cfg::Cfg::edge_count).sum(),
+            direct_call_edges: graph.direct_count(),
+            tail_call_edges: graph.tail_count(),
+            indirect_sites: graph.indirect_call_sites.len()
+                + graph.indirect_jump_sites.len()
+                + graph.notrack_sites,
+            indirect_targets: graph.indirect_targets.len(),
+        }
+    }
 }
 
 /// Function identification result with per-stage accounting.
@@ -187,194 +204,16 @@ impl FunSeeker {
     }
 
     /// Identifies function entries in an already-prepared binary,
-    /// reusing its shared sweep.
+    /// reusing its shared sweep: one [`AnalysisPlan`] built for this
+    /// configuration. Callers deriving several configurations per
+    /// binary hold a plan themselves.
     pub fn identify_prepared(&self, prepared: &Prepared<'_>) -> Analysis {
-        self.run_stages(&prepared.parsed, &prepared.index)
-    }
-
-    /// Runs FILTERENDBR/SELECTTAILCALL over a pre-computed sweep index.
-    /// Exposed for the evaluation harness, which reuses one sweep across
-    /// all four configurations.
-    ///
-    /// Allocates a fresh working-set arena per call; batch callers that
-    /// analyze many binaries should hold a [`Scratch`] per worker and use
-    /// [`run_stages_with`] instead.
-    ///
-    /// [`run_stages_with`]: FunSeeker::run_stages_with
-    pub fn run_stages(&self, parsed: &Parsed<'_>, sweep: &SweepIndex) -> Analysis {
-        self.run_stages_with(parsed, sweep, &mut Scratch::new())
-    }
-
-    /// [`run_stages`] with caller-provided working-set buffers.
-    ///
-    /// All intermediate collections live in `scratch`, which is cleared
-    /// and refilled — after the arena has grown to the workload's
-    /// high-water mark, the per-binary stages allocate nothing beyond
-    /// the returned [`Analysis`] itself. The result is identical to
-    /// [`run_stages`] regardless of what the arena held before.
-    ///
-    /// [`run_stages`]: FunSeeker::run_stages
-    pub fn run_stages_with(
-        &self,
-        parsed: &Parsed<'_>,
-        sweep: &SweepIndex,
-        scratch: &mut Scratch,
-    ) -> Analysis {
-        // Optional superset pass: recover end-branches the linear sweep
-        // may have lost to data-in-text desynchronization. Only the
-        // end-branch list is augmented — borrow the rest of the index
-        // rather than cloning it.
-        let t = Instant::now();
-        let endbrs: &[u64] = if self.config.endbr_pattern_scan {
-            scratch.endbr_union.clear();
-            scratch.endbr_union.extend_from_slice(&sweep.endbrs);
-            scratch.endbr_union.extend(crate::disassemble::scan_endbr_pattern(parsed));
-            scratch.endbr_union.sort_unstable();
-            scratch.endbr_union.dedup();
-            &scratch.endbr_union
-        } else {
-            &sweep.endbrs
-        };
-
-        let endbr_count = endbrs.len();
-
-        // E or E′ — sorted and deduplicated either way.
-        if self.config.filter_endbr {
-            filter_endbr_into(
-                parsed,
-                &sweep.call_sites,
-                endbrs,
-                &mut scratch.return_points,
-                &mut scratch.entries,
-            );
-        } else {
-            scratch.entries.clear();
-            scratch.entries.extend_from_slice(endbrs);
-            scratch.entries.sort_unstable();
-            scratch.entries.dedup();
-        }
-        let filtered = endbr_count - scratch.entries.len();
-        scratch.stats.filter_ns += t.elapsed().as_nanos() as u64;
-
-        // E′ ∪ C.
-        let t = Instant::now();
-        scratch.functions.clear();
-        scratch.functions.extend_from_slice(&scratch.entries);
-        scratch.functions.extend(sweep.call_targets.iter().copied());
-        scratch.functions.sort_unstable();
-        scratch.functions.dedup();
-
-        // J as a set of distinct targets.
-        scratch.jmp_targets.clear();
-        scratch.jmp_targets.extend(sweep.jmp_edges.iter().map(|&(_, t)| t));
-        scratch.jmp_targets.sort_unstable();
-        scratch.jmp_targets.dedup();
-        let jmp_target_count = scratch.jmp_targets.len();
-        scratch.stats.boundaries_ns += t.elapsed().as_nanos() as u64;
-
-        // ∪ J or ∪ J′.
-        let t = Instant::now();
-        let mut tail_count = 0;
-        if self.config.include_jump_targets {
-            if self.config.select_tail_calls {
-                scratch.region_starts.clear();
-                scratch.region_starts.extend(sweep.regions.iter().map(|r| r.start));
-                select_tail_calls_into(
-                    &scratch.functions,
-                    &sweep.jmp_edges,
-                    self.config.min_tail_referers,
-                    &scratch.region_starts,
-                    &mut scratch.referers,
-                    &mut scratch.tails,
-                );
-                tail_count = scratch.tails.len();
-                scratch.functions.extend_from_slice(&scratch.tails);
-            } else {
-                scratch.functions.extend_from_slice(&scratch.jmp_targets);
-            }
-            scratch.functions.sort_unstable();
-            scratch.functions.dedup();
-        }
-        if self.config.select_tail_calls && self.config.include_jump_targets {
-            scratch.stats.tailcall_ns += t.elapsed().as_nanos() as u64;
-        } else {
-            scratch.stats.boundaries_ns += t.elapsed().as_nanos() as u64;
-        }
-
-        // Optional reachability pruning (interprocedural extension).
-        // Plain jump-target candidates exist only when J is included
-        // unfiltered; every other configuration's candidates carry
-        // end-branch, call-target, or SELECTTAILCALL evidence and are
-        // never demoted, so the stage short-circuits to a no-op there.
-        let mut pruned_count = 0;
-        if self.config.reach_prune
-            && self.config.include_jump_targets
-            && !self.config.select_tail_calls
-        {
-            let t = Instant::now();
-            {
-                let Scratch { endbr_union, entries, functions, reach, work, .. } = scratch;
-                let endbrs: &[u64] =
-                    if self.config.endbr_pattern_scan { endbr_union } else { &sweep.endbrs };
-                // Roots: the program entry, every end-branch (landing pads
-                // and filtered end-branches are still executed code), and
-                // every protected candidate (E′ ∪ C).
-                let roots = std::iter::once(parsed.entry)
-                    .chain(endbrs.iter().copied())
-                    .chain(entries.iter().copied())
-                    .chain(sweep.call_targets.iter().copied());
-                crate::callgraph::reachable_insns_into(sweep, roots, reach, work);
-                let before = functions.len();
-                functions.retain(|&f| {
-                    entries.binary_search(&f).is_ok()
-                        || sweep.call_targets.contains(&f)
-                        || f == parsed.entry
-                        || sweep.insn_at(f).is_some_and(|i| reach[i / 64] >> (i % 64) & 1 == 1)
-                });
-                pruned_count = before - functions.len();
-            }
-            scratch.stats.boundaries_ns += t.elapsed().as_nanos() as u64;
-        }
-
-        // Optional interprocedural summaries over the final entry set.
-        let interproc = self.config.interproc.then(|| {
-            let t = Instant::now();
-            let cfgs = crate::cfg::build_cfgs(sweep, &scratch.functions);
-            let graph = crate::callgraph::build_call_graph(sweep, &scratch.functions);
-            let summary = InterprocSummary {
-                cfg_count: cfgs.len(),
-                block_count: cfgs.iter().map(|c| c.blocks.len()).sum(),
-                cfg_edge_count: cfgs.iter().map(crate::cfg::Cfg::edge_count).sum(),
-                direct_call_edges: graph.direct_count(),
-                tail_call_edges: graph.tail_count(),
-                indirect_sites: graph.indirect_call_sites.len()
-                    + graph.indirect_jump_sites.len()
-                    + graph.notrack_sites,
-                indirect_targets: graph.indirect_targets.len(),
-            };
-            scratch.stats.interproc_ns += t.elapsed().as_nanos() as u64;
-            summary
-        });
-
-        scratch.stats.entry_candidates += scratch.entries.len() as u64;
-        scratch.stats.tail_candidates += tail_count as u64;
-        scratch.stats.final_candidates += scratch.functions.len() as u64;
-
-        Analysis {
-            // One exact-size allocation + memcpy from the sorted run.
-            functions: FuncSet::from_sorted_slice(&scratch.functions),
-            text_range: parsed.code.bounds(),
-            endbr_count,
-            filtered_endbrs: filtered,
-            call_target_count: sweep.call_targets.len(),
-            jmp_target_count,
-            tail_target_count: tail_count,
-            decode_errors: sweep.decode_errors,
-            pruned_count,
-            interproc,
-            cet_enabled: parsed.cet.full(),
-            diagnostics: parsed.diagnostics.clone(),
-        }
+        AnalysisPlan::new().derive(
+            &self.config,
+            &prepared.parsed,
+            &prepared.index,
+            &mut Scratch::new(),
+        )
     }
 }
 
@@ -415,6 +254,22 @@ mod tests {
         let via_prepared = FunSeeker::new().identify_prepared(&prepared);
         let direct = FunSeeker::new().identify(&bytes).unwrap();
         assert_eq!(via_prepared, direct);
+    }
+
+    #[test]
+    fn identify_prepared_matches_reference() {
+        let bytes = std::fs::read("/proc/self/exe").unwrap();
+        let prepared = prepare(&bytes).unwrap();
+        for (label, config) in Config::table2() {
+            let scan = Config { endbr_pattern_scan: true, ..config };
+            for config in [config, scan] {
+                assert_eq!(
+                    FunSeeker::with_config(config).identify_prepared(&prepared),
+                    crate::reference::identify(&config, &prepared),
+                    "config {label} {config:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,12 +6,10 @@
 //! landing pads. Both are recognized from metadata that cannot be
 //! stripped: the PLT/relocation machinery and `.gcc_except_table`.
 //!
-//! The working sets here are sorted `Vec`s rather than `BTreeSet`s: the
-//! inputs arrive nearly sorted (the sweep emits addresses in order), so
-//! sort-then-dedup plus binary search beats per-element tree inserts,
-//! and the buffers can be reused across binaries via [`crate::Scratch`].
-
-use crate::parse::Parsed;
+//! This module holds the indirect-return list. The filter itself is the
+//! end-branch classification of [`crate::AnalysisPlan`] (see
+//! [`crate::EndbrClass`]); [`crate::reference::filter_endbr`] transcribes
+//! it on sets.
 
 /// GCC's list of indirect-return functions (from `special_function_p` in
 /// gcc/calls.c): calls to these are followed by an end-branch that is a
@@ -28,56 +26,13 @@ pub fn is_indirect_return_name(name: &str) -> bool {
     INDIRECT_RETURN_FUNCTIONS.iter().any(|f| name == *f || trimmed == f.trim_start_matches('_'))
 }
 
-/// Computes `E′`: `E` minus setjmp-return points and landing pads.
-///
-/// `call_sites` are `(address_after_call, target)` pairs from the shared
-/// sweep index; `endbrs` is the end-branch list to filter (either the
-/// sweep's or the pattern-scan-augmented one). The result is sorted and
-/// deduplicated.
-pub fn filter_endbr(p: &Parsed<'_>, call_sites: &[(u64, u64)], endbrs: &[u64]) -> Vec<u64> {
-    let mut return_points = Vec::new();
-    let mut out = Vec::new();
-    filter_endbr_into(p, call_sites, endbrs, &mut return_points, &mut out);
-    out
-}
-
-/// Buffer-reusing body of [`filter_endbr`]: `return_points` and `out`
-/// are cleared and refilled, keeping their capacity across calls.
-pub(crate) fn filter_endbr_into(
-    p: &Parsed<'_>,
-    call_sites: &[(u64, u64)],
-    endbrs: &[u64],
-    return_points: &mut Vec<u64>,
-    out: &mut Vec<u64>,
-) {
-    // Return points of indirect-return calls: address right after each
-    // call whose target is a PLT stub for a listed function.
-    return_points.clear();
-    for &(after, target) in call_sites {
-        if let Some(name) = p.plt.name_at(target) {
-            if is_indirect_return_name(name) {
-                return_points.push(after);
-            }
-        }
-    }
-    return_points.sort_unstable();
-    return_points.dedup();
-
-    out.clear();
-    out.extend(
-        endbrs
-            .iter()
-            .copied()
-            .filter(|a| return_points.binary_search(a).is_err() && !p.landing_pads.contains(a)),
-    );
-    out.sort_unstable();
-    out.dedup();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parse::Parsed;
+    use crate::reference::filter_endbr;
     use funseeker_elf::PltMap;
+    use std::collections::BTreeSet;
 
     #[test]
     fn name_matching_covers_aliases() {
@@ -98,6 +53,10 @@ mod tests {
         }
     }
 
+    fn set(addrs: &[u64]) -> BTreeSet<u64> {
+        addrs.iter().copied().collect()
+    }
+
     fn parsed_with(plt: PltMap, pads: &[u64]) -> Parsed<'static> {
         let mut p = Parsed::from_region(0x1000, &[], true);
         p.landing_pads = pads.iter().copied().collect();
@@ -111,7 +70,7 @@ mod tests {
         let p = parsed_with(plt, &[]);
         // call setjmp@plt ending at 0x1040; call puts@plt ending at 0x1080.
         let call_sites = [(0x1040, 0x500), (0x1080, 0x510)];
-        let e = filter_endbr(&p, &call_sites, &[0x1000, 0x1040, 0x1080]);
+        let e = filter_endbr(&p, &call_sites, &set(&[0x1000, 0x1040, 0x1080]));
         assert!(e.contains(&0x1000));
         assert!(!e.contains(&0x1040), "post-setjmp endbr must be dropped");
         assert!(e.contains(&0x1080), "post-puts endbr is a coincidence and stays");
@@ -120,22 +79,13 @@ mod tests {
     #[test]
     fn filters_landing_pads() {
         let p = parsed_with(PltMap::default(), &[0x1100, 0x1200]);
-        let e = filter_endbr(&p, &[], &[0x1000, 0x1100, 0x1200]);
-        assert_eq!(e, vec![0x1000]);
+        let e = filter_endbr(&p, &[], &set(&[0x1000, 0x1100, 0x1200]));
+        assert_eq!(e, set(&[0x1000]));
     }
 
     #[test]
     fn no_metadata_means_no_filtering() {
         let p = parsed_with(PltMap::default(), &[]);
-        assert_eq!(filter_endbr(&p, &[], &[1, 2, 3]).len(), 3);
-    }
-
-    #[test]
-    fn result_is_sorted_and_deduplicated() {
-        // The pattern-scan union path can hand in out-of-order
-        // duplicates; the set semantics of the old BTreeSet result must
-        // be preserved.
-        let p = parsed_with(PltMap::default(), &[]);
-        assert_eq!(filter_endbr(&p, &[], &[3, 1, 2, 1, 3]), vec![1, 2, 3]);
+        assert_eq!(filter_endbr(&p, &[], &set(&[1, 2, 3])).len(), 3);
     }
 }

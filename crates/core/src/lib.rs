@@ -16,6 +16,9 @@
 //! ```
 //!
 //! The four Table II configurations (①–④) are exposed via [`Config`].
+//! [`AnalysisPlan`] is the one implementation of the set algebra;
+//! [`reference`](mod@reference) transcribes the pseudocode on
+//! `BTreeSet`s as the tests' oracle.
 //!
 //! # Quick example
 //!
@@ -45,6 +48,7 @@ pub mod cfg;
 pub mod disassemble;
 pub mod filter;
 pub mod parse;
+pub mod reference;
 pub mod tailcall;
 
 pub use analyzer::{prepare, Analysis, FunSeeker, InterprocSummary, Prepared};
@@ -56,5 +60,5 @@ pub use diag::{Diagnostic, Diagnostics};
 pub use error::Error;
 pub use filter::{is_indirect_return_name, INDIRECT_RETURN_FUNCTIONS};
 pub use funcset::FuncSet;
-pub use plan::{AnalysisPlan, EndbrClass, ENDBR_CLASSES};
+pub use plan::{AnalysisPlan, EndbrClass, Evidence, ENDBR_CLASSES};
 pub use scratch::{Scratch, StageStats};

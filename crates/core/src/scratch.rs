@@ -1,12 +1,12 @@
 //! Reusable working-set arena for the Algorithm-1 stages.
 //!
-//! Every [`crate::FunSeeker::run_stages`] call needs a handful of
-//! intermediate collections: the filtered end-branch list, the growing
-//! candidate set, SELECTTAILCALL's referer pairs. Allocating them per
-//! call is invisible for one binary but measurable over a corpus of
-//! thousands — the batch engine analyzes one binary per task on a
-//! persistent worker pool, so the same buffers can serve every binary a
-//! worker ever sees.
+//! Every [`crate::AnalysisPlan`] build and derivation needs a handful of
+//! temporaries: the classified end-branch list, the PLT return points,
+//! the staged candidate run, SELECTTAILCALL's referer pairs. Allocating
+//! them per call is invisible for one binary but measurable over a
+//! corpus of thousands — the batch engine analyzes one binary per task
+//! on a persistent worker pool, so the same buffers can serve every
+//! binary a worker ever sees.
 //!
 //! [`Scratch`] owns those buffers. Each stage clears and refills them,
 //! which keeps capacity: after the first few binaries of a batch the
@@ -16,18 +16,16 @@
 //! absorbs the *intermediate* allocations.)
 //!
 //! The one-shot entry points ([`crate::FunSeeker::identify`],
-//! [`crate::FunSeeker::run_stages`]) build a fresh arena internally;
-//! batch callers hold one per worker and pass it to
-//! [`crate::FunSeeker::run_stages_with`].
+//! [`crate::FunSeeker::identify_prepared`]) build a fresh arena
+//! internally; batch callers hold one per worker next to their plan.
 
 /// Cumulative per-stage wall time and candidate counts for the
 /// Algorithm-1 back end.
 ///
-/// [`crate::FunSeeker::run_stages_with`] and the fused
-/// [`crate::AnalysisPlan`] both charge their work here (the counters
-/// live in [`Scratch`], accumulating across every analysis a worker
-/// runs). `experiments -- perf` and the batch report read them to show
-/// where the stage pipeline spends its time.
+/// [`crate::AnalysisPlan`] charges its work here (the counters live in
+/// [`Scratch`], accumulating across every analysis a worker runs).
+/// `experiments -- perf` and the batch report read them to show where
+/// the back end spends its time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageStats {
     /// FILTERENDBR (or the plain `E` sort/dedup when filtering is off),
@@ -69,37 +67,28 @@ impl StageStats {
 
 /// Reusable buffers for one analysis worker.
 ///
-/// Obtain with [`Scratch::new`], pass to
-/// [`crate::FunSeeker::run_stages_with`], reuse for the next binary. The
+/// Obtain with [`Scratch::new`], pass to [`crate::AnalysisPlan::rebuild`]
+/// and [`crate::AnalysisPlan::derive`], reuse for the next binary. The
 /// contents between calls are unspecified; every user clears before use.
 #[derive(Debug, Default)]
 pub struct Scratch {
-    /// Sweep end-branches unioned with the pattern scan (only used when
-    /// `endbr_pattern_scan` is enabled).
-    pub(crate) endbr_union: Vec<u64>,
     /// FILTERENDBR's indirect-return points.
     pub(crate) return_points: Vec<u64>,
-    /// `E` or `E′`, sorted.
-    pub(crate) entries: Vec<u64>,
-    /// The growing candidate set `E′ ∪ C (∪ J′)`, sorted.
-    pub(crate) functions: Vec<u64>,
-    /// Distinct direct-jump targets (`J` as a set).
-    pub(crate) jmp_targets: Vec<u64>,
+    /// PLT-return points (addresses after any call into the PLT).
+    pub(crate) plt_returns: Vec<u64>,
+    /// `E` tagged with evidence classes — the x86 adapter's
+    /// [`crate::Evidence::endbrs`].
+    pub(crate) endbrs: Vec<(u64, crate::EndbrClass)>,
     /// Region start addresses (interval breaks for SELECTTAILCALL).
     pub(crate) region_starts: Vec<u64>,
+    /// The staged candidate run `base ∪ J` or `base ∪ J′`, sorted.
+    pub(crate) functions: Vec<u64>,
     /// SELECTTAILCALL's `(target, referring interval)` accumulator.
     pub(crate) referers: Vec<(u64, Option<u64>)>,
-    /// SELECTTAILCALL's output `J′`.
+    /// `J′` at the configuration's threshold.
     pub(crate) tails: Vec<u64>,
-    /// Reachability pruning's bit-per-instruction visited set (packed
-    /// `u64` words; only used when `reach_prune` is enabled).
-    pub(crate) reach: Vec<u64>,
     /// Reachability pruning's BFS worklist of instruction indices.
     pub(crate) work: Vec<u32>,
-    /// [`crate::AnalysisPlan`]'s PLT-return points (addresses after any
-    /// call into the PLT) — build-time temporary for the evidence-class
-    /// partition.
-    pub(crate) plt_returns: Vec<u64>,
     /// Cumulative per-stage timing and candidate counters; never
     /// cleared by the stages — callers snapshot or reset via
     /// [`Scratch::take_stats`].
@@ -115,16 +104,13 @@ impl Scratch {
     /// Total heap capacity currently retained, in bytes — what a batch
     /// scheduler accounts against its in-flight memory budget.
     pub fn capacity_bytes(&self) -> usize {
-        let u64s = self.endbr_union.capacity()
-            + self.return_points.capacity()
-            + self.entries.capacity()
-            + self.functions.capacity()
-            + self.jmp_targets.capacity()
+        let u64s = self.return_points.capacity()
+            + self.plt_returns.capacity()
             + self.region_starts.capacity()
-            + self.tails.capacity()
-            + self.reach.capacity()
-            + self.plt_returns.capacity();
+            + self.functions.capacity()
+            + self.tails.capacity();
         u64s * std::mem::size_of::<u64>()
+            + self.endbrs.capacity() * std::mem::size_of::<(u64, crate::EndbrClass)>()
             + self.referers.capacity() * std::mem::size_of::<(u64, Option<u64>)>()
             + self.work.capacity() * std::mem::size_of::<u32>()
     }
@@ -145,17 +131,20 @@ mod tests {
     fn capacity_is_retained_across_reuse() {
         let bytes = std::fs::read("/proc/self/exe").unwrap();
         let prepared = crate::prepare(&bytes).unwrap();
-        let seeker = crate::FunSeeker::new();
-
+        let (parsed, index) = (&prepared.parsed, &prepared.index);
+        let mut plan = crate::AnalysisPlan::new();
         let mut scratch = Scratch::new();
         assert_eq!(scratch.capacity_bytes(), 0);
-        let first = seeker.run_stages_with(&prepared.parsed, &prepared.index, &mut scratch);
+        plan.rebuild(parsed, index, &mut scratch);
+        let first = plan.derive(&crate::Config::c4(), parsed, index, &mut scratch);
         let warm = scratch.capacity_bytes();
         assert!(warm > 0, "analysis of a real binary fills the arena");
+        assert_eq!(first, crate::reference::identify(&crate::Config::c4(), &prepared));
 
         // Re-analyzing the same binary must not grow the arena further —
         // the buffers are at their high-water mark already.
-        let second = seeker.run_stages_with(&prepared.parsed, &prepared.index, &mut scratch);
+        plan.rebuild(parsed, index, &mut scratch);
+        let second = plan.derive(&crate::Config::c4(), parsed, index, &mut scratch);
         assert_eq!(first, second, "scratch reuse must not change results");
         assert_eq!(scratch.capacity_bytes(), warm, "warm arena stops growing");
     }

@@ -17,9 +17,9 @@
 //! `.text` candidate's interval.
 //!
 //! The accumulator is a flat `Vec<(target, interval)>` that is sorted
-//! and deduplicated once, then scanned in runs per target — replacing
-//! the former `BTreeMap<u64, BTreeSet<…>>`, whose per-edge tree inserts
-//! dominated this stage's cost at corpus scale. The buffers can be
+//! and deduplicated once, then scanned in runs per target, instead of
+//! the `BTreeMap<u64, BTreeSet<…>>` of [`crate::reference`], whose
+//! per-edge tree inserts dominate at corpus scale. The buffers are
 //! reused across binaries via [`crate::Scratch`].
 //!
 //! # Relation to the call graph
@@ -35,99 +35,26 @@
 //! regression test `tail_jump_targets_callee_entry_not_fallthrough`
 //! in `callgraph.rs` pins this down.
 
-/// Identifies tail-call targets among the jump edges.
+/// The SELECTTAILCALL interval structure, config-invariant form: for
+/// every jump target that passes condition (1), the number of
+/// *distinct* referring intervals. `J′` at **any** `min_referers`
+/// threshold is the targets whose count clears it — what
+/// [`crate::AnalysisPlan`] materializes per candidate base.
 ///
-/// * `candidates` — the current function-start estimate (`E′ ∪ C`) as a
-///   **sorted, deduplicated** slice.
+/// * `candidates` — the current function-start estimate (`E′ ∪ C` or
+///   `E ∪ C`) as a **sorted, deduplicated** slice.
 /// * `jmp_edges` — `(site, target)` pairs of direct unconditional jumps.
-/// * `min_referers` — condition (2)'s threshold ("multiple" = 2 in the
-///   default configuration).
 /// * `region_starts` — sorted start addresses of the code regions; may
 ///   be empty for single-interval analyses (tests, synthetic inputs).
 ///
-/// Returns the selected targets sorted in ascending order.
-pub fn select_tail_calls(
-    candidates: &[u64],
-    jmp_edges: &[(u64, u64)],
-    min_referers: usize,
-    region_starts: &[u64],
-) -> Vec<u64> {
-    let mut referers = Vec::new();
-    let mut out = Vec::new();
-    select_tail_calls_into(
-        candidates,
-        jmp_edges,
-        min_referers,
-        region_starts,
-        &mut referers,
-        &mut out,
-    );
-    out
-}
-
-/// Buffer-reusing body of [`select_tail_calls`]: `referers` and `out`
-/// are cleared and refilled, keeping their capacity across calls.
-pub(crate) fn select_tail_calls_into(
-    candidates: &[u64],
-    jmp_edges: &[(u64, u64)],
-    min_referers: usize,
-    region_starts: &[u64],
-    referers: &mut Vec<(u64, Option<u64>)>,
-    out: &mut Vec<u64>,
-) {
-    collect_referers(candidates, jmp_edges, region_starts, referers);
-
-    // Each run of equal targets holds its distinct referring intervals.
-    out.clear();
-    let mut i = 0;
-    while i < referers.len() {
-        let target = referers[i].0;
-        let mut j = i + 1;
-        while j < referers.len() && referers[j].0 == target {
-            j += 1;
-        }
-        if j - i >= min_referers {
-            out.push(target);
-        }
-        i = j;
-    }
-}
-
-/// The SELECTTAILCALL interval structure itself, config-invariant form:
-/// for every jump target that passes condition (1), the number of
-/// *distinct* referring intervals. `runs` comes back sorted by target,
-/// so `J′` for **any** `min_referers` threshold is the targets whose
-/// count clears it — what [`crate::AnalysisPlan`] materializes once per
-/// binary.
+/// `referers` is a reusable temporary; `runs` comes back sorted by
+/// target.
 pub(crate) fn tail_referer_runs_into(
     candidates: &[u64],
     jmp_edges: &[(u64, u64)],
     region_starts: &[u64],
     referers: &mut Vec<(u64, Option<u64>)>,
     runs: &mut Vec<(u64, u32)>,
-) {
-    collect_referers(candidates, jmp_edges, region_starts, referers);
-    runs.clear();
-    let mut i = 0;
-    while i < referers.len() {
-        let target = referers[i].0;
-        let mut j = i + 1;
-        while j < referers.len() && referers[j].0 == target {
-            j += 1;
-        }
-        runs.push((target, (j - i) as u32));
-        i = j;
-    }
-}
-
-/// Shared accumulation pass: fills `referers` with sorted, deduplicated
-/// `(target, referring interval)` pairs for every jump that leaves its
-/// own interval toward a not-yet-identified target.
-fn collect_referers(
-    candidates: &[u64],
-    jmp_edges: &[(u64, u64)],
-    region_starts: &[u64],
-    referers: &mut Vec<(u64, Option<u64>)>,
 ) {
     debug_assert!(candidates.windows(2).all(|w| w[0] < w[1]), "candidates must be sorted+deduped");
 
@@ -151,32 +78,43 @@ fn collect_referers(
             continue; // already identified; nothing to decide
         }
         let site_iv = interval(site);
-        let target_iv = interval(target);
         // Condition (1): the jump must leave its own function's interval.
-        if site_iv == target_iv {
+        if site_iv == interval(target) {
             continue;
         }
         referers.push((target, site_iv));
     }
     referers.sort_unstable();
     referers.dedup();
+
+    // Each run of equal targets holds its distinct referring intervals.
+    runs.clear();
+    let mut i = 0;
+    while i < referers.len() {
+        let target = referers[i].0;
+        let mut j = i + 1;
+        while j < referers.len() && referers[j].0 == target {
+            j += 1;
+        }
+        runs.push((target, (j - i) as u32));
+        i = j;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::select_tail_calls;
+    use std::collections::BTreeSet;
 
-    fn cands(v: &[u64]) -> Vec<u64> {
-        let mut c = v.to_vec();
-        c.sort_unstable();
-        c.dedup();
-        c
+    fn set(v: &[u64]) -> BTreeSet<u64> {
+        v.iter().copied().collect()
     }
 
     #[test]
     fn intra_function_jumps_are_rejected() {
         // One function at 0x100; jumps inside it never qualify.
-        let c = cands(&[0x100]);
+        let c = set(&[0x100]);
         let edges = [(0x110u64, 0x150u64), (0x120, 0x150), (0x130, 0x150)];
         assert!(select_tail_calls(&c, &edges, 2, &[]).is_empty());
     }
@@ -188,14 +126,14 @@ mod tests {
         // is really a tail-called function at 0x350? No: 0x350 is beyond
         // both jump sites' own intervals and referenced by two distinct
         // functions, so it is selected).
-        let c = cands(&[0x100, 0x200, 0x300]);
+        let c = set(&[0x100, 0x200, 0x300]);
         let edges = [(0x110u64, 0x350u64), (0x210, 0x350)];
-        assert_eq!(select_tail_calls(&c, &edges, 2, &[]), vec![0x350]);
+        assert_eq!(select_tail_calls(&c, &edges, 2, &[]), set(&[0x350]));
     }
 
     #[test]
     fn single_referer_is_rejected_at_threshold_two() {
-        let c = cands(&[0x100, 0x200]);
+        let c = set(&[0x100, 0x200]);
         let edges = [(0x110u64, 0x250u64)];
         assert!(select_tail_calls(&c, &edges, 2, &[]).is_empty());
         // …but accepted when the threshold is relaxed.
@@ -206,7 +144,7 @@ mod tests {
     fn jumps_from_targets_own_interval_do_not_count() {
         // Target 0x250 lives in 0x200's interval; a jump from 0x210
         // (same interval) must not count as a referer.
-        let c = cands(&[0x100, 0x200]);
+        let c = set(&[0x100, 0x200]);
         let edges = [(0x210u64, 0x250u64), (0x110, 0x250)];
         let sel = select_tail_calls(&c, &edges, 2, &[]);
         assert!(sel.is_empty(), "only one *other* function refers to 0x250");
@@ -216,7 +154,7 @@ mod tests {
 
     #[test]
     fn already_identified_targets_are_skipped() {
-        let c = cands(&[0x100, 0x200]);
+        let c = set(&[0x100, 0x200]);
         let edges = [(0x110u64, 0x200u64), (0x150, 0x200)];
         assert!(select_tail_calls(&c, &edges, 2, &[]).is_empty());
     }
@@ -224,7 +162,7 @@ mod tests {
     #[test]
     fn multiple_distinct_referers_required_not_multiple_jumps() {
         // Two jumps from the same function are one referer.
-        let c = cands(&[0x100, 0x200, 0x300]);
+        let c = set(&[0x100, 0x200, 0x300]);
         let edges = [(0x110u64, 0x350u64), (0x120, 0x350)];
         assert!(select_tail_calls(&c, &edges, 2, &[]).is_empty());
     }
@@ -234,7 +172,7 @@ mod tests {
         // With no candidates at all, every site shares interval None, so
         // nothing distinguishes functions and nothing is selected at
         // threshold 2.
-        let c = cands(&[]);
+        let c = set(&[]);
         let edges = [(0x10u64, 0x50u64), (0x20, 0x50)];
         assert!(select_tail_calls(&c, &edges, 2, &[]).is_empty());
     }
@@ -245,11 +183,11 @@ mod tests {
         // second, candidate-free region (say `.fini`). Without the region
         // break, 0x2000 would share 0x180's interval and the jump from
         // 0x190 would look intra-function.
-        let c = cands(&[0x100, 0x180]);
+        let c = set(&[0x100, 0x180]);
         let edges = [(0x190u64, 0x2000u64), (0x110, 0x2000)];
         assert!(select_tail_calls(&c, &edges, 2, &[]).is_empty());
         let sel = select_tail_calls(&c, &edges, 2, &[0x100, 0x2000]);
-        assert_eq!(sel, vec![0x2000]);
+        assert_eq!(sel, set(&[0x2000]));
     }
 
     #[test]
@@ -257,7 +195,7 @@ mod tests {
         // For single-region inputs the region start must not change any
         // verdict: rerun the scenarios above with the base as the sole
         // region start.
-        let c = cands(&[0x100, 0x200, 0x300]);
+        let c = set(&[0x100, 0x200, 0x300]);
         let edges = [(0x110u64, 0x350u64), (0x210, 0x350)];
         assert_eq!(
             select_tail_calls(&c, &edges, 2, &[]),
@@ -273,28 +211,31 @@ mod tests {
     #[test]
     fn referer_runs_reproduce_selection_at_every_threshold() {
         // The plan's `(target, distinct referers)` runs must derive the
-        // same `J′` as a direct SELECTTAILCALL at any threshold.
-        let c = cands(&[0x100, 0x200, 0x300]);
+        // same `J′` as the reference SELECTTAILCALL at any threshold.
+        let c = set(&[0x100, 0x200, 0x300]);
+        let sorted: Vec<u64> = c.iter().copied().collect();
         let edges =
             [(0x110u64, 0x3f0u64), (0x210, 0x3f0), (0x210, 0x3e0), (0x110, 0x3e0), (0x110, 0x500)];
-        let mut referers = Vec::new();
-        let mut runs = Vec::new();
-        tail_referer_runs_into(&c, &edges, &[], &mut referers, &mut runs);
-        assert!(runs.windows(2).all(|w| w[0].0 < w[1].0), "runs sorted by target");
-        for min in 0..4 {
-            let expect = select_tail_calls(&c, &edges, min, &[]);
-            let derived: Vec<u64> =
-                runs.iter().filter(|&&(_, n)| n as usize >= min).map(|&(t, _)| t).collect();
-            assert_eq!(derived, expect, "min_referers={min}");
+        for regions in [&[][..], &[0x100, 0x400]] {
+            let mut referers = Vec::new();
+            let mut runs = Vec::new();
+            tail_referer_runs_into(&sorted, &edges, regions, &mut referers, &mut runs);
+            assert!(runs.windows(2).all(|w| w[0].0 < w[1].0), "runs sorted by target");
+            for min in 0..4 {
+                let expect = select_tail_calls(&c, &edges, min, regions);
+                let derived: BTreeSet<u64> =
+                    runs.iter().filter(|&&(_, n)| n as usize >= min).map(|&(t, _)| t).collect();
+                assert_eq!(derived, expect, "min_referers={min} regions={regions:?}");
+            }
         }
     }
 
     #[test]
-    fn selected_targets_are_sorted() {
-        // Two qualifying targets must come back in ascending order
-        // regardless of edge order.
-        let c = cands(&[0x100, 0x200, 0x300]);
+    fn every_qualifying_target_is_selected() {
+        // Two qualifying targets are both selected, whatever the edge
+        // order.
+        let c = set(&[0x100, 0x200, 0x300]);
         let edges = [(0x110u64, 0x3f0u64), (0x210, 0x3f0), (0x210, 0x3e0), (0x110, 0x3e0)];
-        assert_eq!(select_tail_calls(&c, &edges, 2, &[]), vec![0x3e0, 0x3f0]);
+        assert_eq!(select_tail_calls(&c, &edges, 2, &[]), set(&[0x3e0, 0x3f0]));
     }
 }

@@ -20,7 +20,7 @@ fn dataset(seed: u64) -> Dataset {
 /// parse — mutants are allowed to be rejected, never to break tiling).
 fn assert_cfgs_tile(bytes: &[u8], ctx: &str) -> usize {
     let Ok(prepared) = prepare(bytes) else { return 0 };
-    let analysis = FunSeeker::new().run_stages(&prepared.parsed, &prepared.index);
+    let analysis = FunSeeker::new().identify_prepared(&prepared);
     let entries: Vec<u64> = analysis.functions.iter().copied().collect();
     let cfgs = build_cfgs(&prepared.index, &entries);
     assert_eq!(cfgs.len(), entries.len(), "{ctx}: one CFG per entry");
@@ -66,7 +66,7 @@ fn indirect_edge_candidates_honor_the_endbr_constraint() {
     let mut targets = 0;
     for bin in &ds.binaries {
         let prepared = prepare(&bin.bytes).unwrap();
-        let analysis = FunSeeker::new().run_stages(&prepared.parsed, &prepared.index);
+        let analysis = FunSeeker::new().identify_prepared(&prepared);
         let entries: Vec<u64> = analysis.functions.iter().copied().collect();
         let graph = build_call_graph(&prepared.index, &entries);
         for &t in &graph.indirect_targets {

@@ -7,25 +7,25 @@
 //!
 //! | row | what it measures |
 //! |---|---|
-//! | `analyze_naive4` | the unfused pipeline: four full `run_stages_with` runs per binary over a shared scratch arena |
+//! | `analyze_replan4` | no fusion: four [`AnalysisPlan`] rebuild + derive pairs per binary over one shared scratch arena and plan — what a caller analyzing one configuration at a time pays |
 //! | `analyze_plan4` | one [`AnalysisPlan`] rebuild per binary, each configuration derived by set algebra |
 //! | `analyze_cold` | the full batch engine, fresh cache, over the same distinct corpus (parse + sweep included) |
 //!
-//! Before anything is timed, every plan-derived analysis is asserted
-//! **bit-identical** to an independent per-config `run_stages_with` on
-//! a fresh scratch — the measurement refuses to report numbers for a
-//! derivation that changed the output.
+//! Before anything is timed, every `(binary, configuration)` pair the
+//! plan derives is asserted **bit-identical** to the reference oracle
+//! ([`funseeker::reference`]) — the measurement refuses to report
+//! numbers for a derivation that changed the output.
 //!
 //! Each row carries the core analyzer's per-stage counters
 //! ([`StageStats`]): FILTERENDBR, SELECTTAILCALL, candidate-set
 //! algebra, and interprocedural nanoseconds. Results append to the
 //! `BENCH_batch.json` trajectory; `--check` gates CI on the newest
-//! committed `analyze_plan4` row and fails outright when the plan path
-//! loses to the unfused pipeline.
+//! committed `analyze_plan4` row and fails outright when the fused plan
+//! loses to re-planning per configuration.
 
 use std::time::Instant;
 
-use funseeker::{prepare, AnalysisPlan, Config, FunSeeker, Prepared, Scratch, StageStats};
+use funseeker::{prepare, reference, AnalysisPlan, Config, Prepared, Scratch, StageStats};
 use funseeker_batch::{BatchOptions, ResultCache};
 
 use crate::trajectory;
@@ -33,7 +33,7 @@ use crate::trajectory;
 /// One measured driver.
 #[derive(Debug, Clone)]
 pub struct AnalyzeRow {
-    /// Driver name (`analyze_naive4`, `analyze_plan4`, `analyze_cold`).
+    /// Driver name (`analyze_replan4`, `analyze_plan4`, `analyze_cold`).
     pub label: String,
     /// Best-of-N wall time in milliseconds for the whole corpus.
     pub ms: f64,
@@ -56,7 +56,7 @@ pub struct AnalyzeReport {
     /// Repetitions per row (the minimum is reported).
     pub reps: usize,
     /// (binary, configuration) pairs verified bit-identical between the
-    /// plan derivation and the unfused pipeline before timing started.
+    /// plan derivation and the reference oracle before timing started.
     pub verified: usize,
     /// Execution environment of the run.
     pub host: crate::host::Host,
@@ -77,7 +77,7 @@ pub fn run(quick: bool) -> AnalyzeReport {
         images.iter().map(|b| prepare(b).expect("benchmark corpus binary prepares")).collect();
 
     // ---- The contract, before any timing: every plan-derived analysis
-    // is bit-identical to an independent staged run on a fresh scratch.
+    // is bit-identical to the reference oracle.
     let mut plan = AnalysisPlan::new();
     let mut scratch = Scratch::new();
     let mut verified = 0usize;
@@ -85,12 +85,11 @@ pub fn run(quick: bool) -> AnalyzeReport {
         plan.rebuild(&p.parsed, &p.index, &mut scratch);
         for cfg in &configs {
             let fast = plan.derive(cfg, &p.parsed, &p.index, &mut scratch);
-            let slow = FunSeeker::with_config(*cfg).run_stages_with(
-                &p.parsed,
-                &p.index,
-                &mut Scratch::new(),
+            assert_eq!(
+                fast,
+                reference::identify(cfg, p),
+                "plan derivation diverged from reference"
             );
-            assert_eq!(fast, slow, "plan derivation diverged from run_stages_with");
             verified += 1;
         }
     }
@@ -108,10 +107,10 @@ pub fn run(quick: bool) -> AnalyzeReport {
         });
     };
 
-    // ---- naive4: four full stage pipelines per binary, shared scratch
-    // (the pre-plan analyze stage at its best).
+    // ---- replan4: a rebuild before every derivation, shared scratch
+    // and plan (no fusion across configurations).
     let mut samples = Vec::with_capacity(reps);
-    let mut naive_functions = 0usize;
+    let mut replan_functions = 0usize;
     let mut stage = StageStats::default();
     for _ in 0..reps {
         let _ = scratch.take_stats();
@@ -119,16 +118,16 @@ pub fn run(quick: bool) -> AnalyzeReport {
         let t = Instant::now();
         for p in &prepared {
             for cfg in &configs {
-                let a =
-                    FunSeeker::with_config(*cfg).run_stages_with(&p.parsed, &p.index, &mut scratch);
+                plan.rebuild(&p.parsed, &p.index, &mut scratch);
+                let a = plan.derive(cfg, &p.parsed, &p.index, &mut scratch);
                 functions += a.functions.len();
             }
         }
         samples.push(t.elapsed().as_secs_f64());
         stage = scratch.take_stats();
-        naive_functions = functions;
+        replan_functions = functions;
     }
-    push("analyze_naive4", &samples, stage);
+    push("analyze_replan4", &samples, stage);
 
     // ---- plan4: one rebuild per binary, four derivations.
     let mut samples = Vec::with_capacity(reps);
@@ -146,7 +145,7 @@ pub fn run(quick: bool) -> AnalyzeReport {
         }
         samples.push(t.elapsed().as_secs_f64());
         stage = scratch.take_stats();
-        assert_eq!(functions, naive_functions, "plan4 diverged from naive4");
+        assert_eq!(functions, replan_functions, "plan4 diverged from replan4");
     }
     push("analyze_plan4", &samples, stage);
 
@@ -167,7 +166,7 @@ pub fn run(quick: bool) -> AnalyzeReport {
             .flat_map(|per_config| per_config.iter())
             .map(|a| a.as_ref().map_or(0, |a| a.functions.len()))
             .sum();
-        assert_eq!(functions, naive_functions, "cold batch diverged from naive4");
+        assert_eq!(functions, replan_functions, "cold batch diverged from replan4");
         stage = out.stats.stage;
     }
     push("analyze_cold", &samples, stage);
@@ -183,12 +182,12 @@ pub fn run(quick: bool) -> AnalyzeReport {
 }
 
 impl AnalyzeReport {
-    /// The plan-over-naive speedup of this run (1.0 when either row is
+    /// The plan-over-replan speedup of this run (1.0 when either row is
     /// missing).
     pub fn speedup(&self) -> f64 {
         let get = |label: &str| self.rows.iter().find(|r| r.label == label).map(|r| r.bins_per_s);
-        match (get("analyze_naive4"), get("analyze_plan4")) {
-            (Some(naive), Some(plan)) if naive > 0.0 => plan / naive,
+        match (get("analyze_replan4"), get("analyze_plan4")) {
+            (Some(replan), Some(plan)) if replan > 0.0 => plan / replan,
             _ => 1.0,
         }
     }
@@ -218,7 +217,7 @@ impl AnalyzeReport {
                 r.stage.interproc_ns as f64 / 1e6,
             ));
         }
-        s.push_str(&format!("\nplan-over-naive speedup: {:.2}x\n", self.speedup()));
+        s.push_str(&format!("\nplan-over-replan speedup: {:.2}x\n", self.speedup()));
         s
     }
 
@@ -265,19 +264,19 @@ impl AnalyzeReport {
 
 /// CI regression gate: the fresh `analyze_plan4` throughput must reach
 /// `min_ratio` of the newest committed entry (noise-tolerance-widened,
-/// like every other gate), and the plan path must not lose to the
-/// unfused pipeline it replaced.
+/// like every other gate), and the fused plan must not lose to
+/// re-planning per configuration.
 pub fn check_against(
     committed: &str,
     fresh: &AnalyzeReport,
     min_ratio: f64,
 ) -> Result<String, String> {
-    // The hard half first: a plan slower than naive is a broken plan,
-    // whatever the trajectory says.
+    // The hard half first: a fused plan slower than re-planning is a
+    // broken plan, whatever the trajectory says.
     let speedup = fresh.speedup();
     if speedup < 1.0 {
         return Err(format!(
-            "plan-derived analysis is slower than the unfused pipeline ({speedup:.2}x)"
+            "plan-derived analysis is slower than re-planning per configuration ({speedup:.2}x)"
         ));
     }
     let Some(baseline) = trajectory::last_value(committed, "analyze_plan4", "bins_per_s") else {
@@ -304,7 +303,7 @@ pub fn check_against(
     let ratio = now.bins_per_s / baseline;
     let msg = format!(
         "plan-derived analyze: {:.1} binaries/s vs committed {:.1} binaries/s ({:.0}% of \
-         baseline, threshold {:.0}% incl. {:.0}% noise tolerance; {speedup:.2}x over naive)",
+         baseline, threshold {:.0}% incl. {:.0}% noise tolerance; {speedup:.2}x over replan)",
         now.bins_per_s,
         baseline,
         ratio * 100.0,
@@ -340,7 +339,7 @@ mod tests {
             host: crate::host::host(),
             rows: vec![
                 AnalyzeRow {
-                    label: "analyze_naive4".into(),
+                    label: "analyze_replan4".into(),
                     ms: 40.0,
                     sd_ms: 1.0,
                     bins_per_s: 1600.0,
@@ -375,12 +374,12 @@ mod tests {
         let mut slow = fake_report();
         slow.rows[1].bins_per_s = 1000.0; // below 70% of committed…
         assert!(check_against(&doc, &slow, 0.7).is_err());
-        // …and a plan slower than naive fails regardless of history.
+        // …and a plan slower than replan fails regardless of history.
         let mut inverted = fake_report();
         inverted.rows[1].bins_per_s = 1500.0;
         inverted.rows[1].ms = 45.0;
         let err = check_against(&doc, &inverted, 0.1).unwrap_err();
-        assert!(err.contains("slower than the unfused pipeline"), "{err}");
+        assert!(err.contains("slower than re-planning"), "{err}");
     }
 
     #[test]
@@ -398,7 +397,7 @@ mod tests {
     fn quick_measurement_verifies_and_reports_stages() {
         let report = run(true);
         let labels: Vec<&str> = report.rows.iter().map(|r| r.label.as_str()).collect();
-        assert_eq!(labels, ["analyze_naive4", "analyze_plan4", "analyze_cold"]);
+        assert_eq!(labels, ["analyze_replan4", "analyze_plan4", "analyze_cold"]);
         assert_eq!(report.verified, report.binaries * report.configs);
         for row in &report.rows {
             assert!(row.ms > 0.0, "{}: no time measured", row.label);

@@ -30,9 +30,9 @@ pub fn run(count: usize, seed: u64) -> ArmEval {
         let bin = generate(ArmParams::default(), seed ^ (s.wrapping_mul(0x9e37_79b9)));
         let truth = bin.entries();
         let a = no_tails.identify(&bin.bytes).expect("generated ARM binary analyzable");
-        out.without_tails += Score::from_sets(&a.functions, &truth);
+        out.without_tails += Score::from_funcset(&a.functions, &truth);
         let b = full.identify(&bin.bytes).expect("generated ARM binary analyzable");
-        out.full += Score::from_sets(&b.functions, &truth);
+        out.full += Score::from_funcset(&b.functions, &truth);
         out.binaries += 1;
     }
     out

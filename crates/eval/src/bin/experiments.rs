@@ -31,16 +31,16 @@
 //!
 //! The `analyze` subcommand isolates the back end: every binary of a
 //! distinct-heavy corpus is parsed and swept once, then the four
-//! Table II configurations are analyzed per binary through the unfused
-//! stage pipeline (`analyze_naive4`), the shared-`AnalysisPlan`
-//! derivation (`analyze_plan4`), and the full cold batch engine
-//! (`analyze_cold`), with per-stage FILTERENDBR / SELECTTAILCALL /
-//! candidate-algebra / interprocedural timings on every row. Every
-//! plan-derived analysis is asserted bit-identical to an independent
-//! `run_stages_with` before timing starts. Flags mirror `perf` against
-//! `BENCH_batch.json`; `--check` gates on the newest committed
-//! `analyze_plan4` row and fails outright when the plan path is slower
-//! than the unfused pipeline.
+//! Table II configurations are analyzed per binary by re-planning for
+//! every configuration (`analyze_replan4`), by one shared
+//! `AnalysisPlan` per binary (`analyze_plan4`), and by the full cold
+//! batch engine (`analyze_cold`), with per-stage FILTERENDBR /
+//! SELECTTAILCALL / candidate-algebra / interprocedural timings on
+//! every row. Every plan-derived analysis is asserted bit-identical to
+//! `funseeker::reference` before timing starts. Flags mirror `perf`
+//! against `BENCH_batch.json`; `--check` gates on the newest committed
+//! `analyze_plan4` row and fails outright when the fused plan is slower
+//! than re-planning per configuration.
 //!
 //! The `callgraph` subcommand scores recovered direct/tail call edges
 //! against the corpus's emitted call-edge ground truth and times the

@@ -105,8 +105,7 @@ pub fn run(quick: bool) -> CallGraphReport {
         .iter()
         .map(|bin| {
             let p = prepare(&bin.bytes).expect("corpus binary prepares");
-            let entries: Vec<u64> =
-                seeker.run_stages(&p.parsed, &p.index).functions.into_iter().collect();
+            let entries = seeker.identify_prepared(&p).functions.into_vec();
             (bin, p, entries)
         })
         .collect();

@@ -203,15 +203,14 @@ pub fn run(quick: bool) -> PerfReport {
     });
 
     // Analyzer stage counters (untimed rows above cover the sweep; this
-    // records where the back end spends its time on the same binary).
+    // records where the back end spends its time on the same binary):
+    // one plan, the four Table II configurations derived from it.
     let p = prepare(&bin.bytes).expect("benchmark binary prepares");
     let mut scratch = funseeker::Scratch::new();
+    let mut plan = funseeker::AnalysisPlan::new();
+    plan.rebuild(&p.parsed, &p.index, &mut scratch);
     for (_, cfg) in funseeker::Config::table2() {
-        let a = funseeker::FunSeeker::with_config(cfg).run_stages_with(
-            &p.parsed,
-            &p.index,
-            &mut scratch,
-        );
+        let a = plan.derive(&cfg, &p.parsed, &p.index, &mut scratch);
         std::hint::black_box(a.functions.len());
     }
     let stage = scratch.take_stats();

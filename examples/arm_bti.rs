@@ -24,7 +24,7 @@ fn main() {
         let bin = generate(ArmParams::default(), s);
         let truth = bin.entries();
         let a = seeker.identify(&bin.bytes).expect("generated binary analyzable");
-        let hit = a.functions.intersection(&truth).count();
+        let hit = a.functions.iter().filter(|f| truth.contains(f)).count();
         println!(
             "{:<8} {:>6} {:>8} {:>8} {:>9.2}% {:>7.2}%",
             s,
