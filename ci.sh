@@ -21,6 +21,9 @@ FUNSEEKER_KERNEL_TIER=swar cargo test -q -p funseeker-disasm
 echo "==> mutation fuzz harness (1000 cases)"
 FUNSEEKER_MUTATION_CASES=1000 cargo test -q -p funseeker-corpus --test proptest_mutate
 
+echo "==> plan ≡ reference on hostile mutants (256 cases; guards the walks' order normalization)"
+FUNSEEKER_MUTATION_CASES=256 cargo test --release -q -p funseeker --test proptest_plan
+
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
   -p funseeker-elf -p funseeker-eh -p funseeker-disasm -p funseeker \

@@ -39,25 +39,38 @@ pub struct RegionSpan {
 
 /// The shared product of the disassembly pass: the decoded instruction
 /// stream and the sets FILTERENDBR / SELECTTAILCALL work from.
+///
+/// **Ordering.** Regions are sorted and swept in address order, so
+/// `endbrs`, `jmp_edges` (by site) and `call_sites` (by the address
+/// after the call) come out ascending. Only hostile images break this: a
+/// call whose end wraps past 2^64 puts its `call_sites` entry out of
+/// order, and overlapping code sections interleave all three lists.
+/// Nothing asserts the order; [`crate::AnalysisPlan`]'s walks check it
+/// and sort a copy when it does not hold.
 #[derive(Debug, Clone, Default)]
 pub struct SweepIndex {
     /// Every decoded instruction, in address order across all regions,
-    /// in packed structure-of-arrays form (6 bytes per instruction).
+    /// in packed structure-of-arrays form (6 bytes per instruction). Its
+    /// boundary index is built by the first [`SweepIndex::insn_at`] /
+    /// [`SweepIndex::insns_in`] probe, so configurations that never
+    /// probe by address never pay for it.
     pub insns: InsnStream,
     /// One span per code region, in address order.
     pub regions: Vec<RegionSpan>,
-    /// `E`: addresses of end-branch instructions in the code.
+    /// `E`: addresses of end-branch instructions in the code, ascending.
     pub endbrs: Vec<u64>,
     /// `C`: direct call targets that land inside the analyzed code,
     /// sorted and deduplicated.
     pub call_targets: FuncSet,
     /// Direct unconditional jumps: `(site, target)` pairs with in-code
     /// targets — the raw `J` with provenance, which SELECTTAILCALL needs.
+    /// Ascending by site.
     pub jmp_edges: Vec<(u64, u64)>,
     /// All direct call sites as `(address_after_call, target)` — used to
     /// spot indirect-return call sites whose following end-branch must be
     /// filtered. Targets outside the analyzed code (PLT stubs) are *kept*
-    /// here.
+    /// here. Ascending by the address after the call, save on hostile
+    /// images (see the ordering note above).
     pub call_sites: Vec<(u64, u64)>,
     /// Number of byte positions skipped on decode errors, summed over
     /// regions.
@@ -167,10 +180,6 @@ pub fn disassemble(p: &Parsed<'_>) -> SweepIndex {
         out.stats.merge(&swept.stats);
     }
     out.call_targets = call_targets.into_iter().collect();
-    // Seal the finished stream: FILTERENDBR / SELECTTAILCALL probe it
-    // with `insn_at` / `insns_in` millions of times, and sealing turns
-    // each probe's binary search into an O(1) bitmap rank query.
-    out.insns.seal();
     out
 }
 

@@ -16,6 +16,12 @@
 //! | reach bitmap | instructions reachable from the entry ∪ `E` ∪ `C` root set (built lazily; the root set is config-invariant because `E′ ⊆ E`) | `reach_prune` variants |
 //! | CET verdict | the `.note.gnu.property` IBT+SHSTK check | all |
 //!
+//! The build is linear in the evidence. The x86 classification of `E`
+//! is one merge walk over `E`, the landing pads and the call sites, all
+//! ascending in sweep order, with a PLT lookup only for a call that
+//! returns onto an end-branch; the tail runs follow each jump site with
+//! a forward interval cursor ([`crate::tailcall`]). An input a hostile
+//! image leaves out of order is sorted into a [`Scratch`] copy first.
 //! [`AnalysisPlan::derive`] then produces each configuration's
 //! [`Analysis`] by linear merges of already-sorted runs.
 //! `endbr_pattern_scan` changes `E` itself, to `E ∪`
@@ -85,7 +91,8 @@ pub struct Evidence<'a> {
     /// `C` — direct call targets, sorted without duplicates.
     pub call_targets: &'a [u64],
     /// Direct unconditional jumps as `(site, target)` — `J` with
-    /// provenance, which SELECTTAILCALL needs.
+    /// provenance, which SELECTTAILCALL needs. Any order; ascending by
+    /// site is the fast case.
     pub jmp_edges: &'a [(u64, u64)],
     /// Sorted code-region starts: SELECTTAILCALL interval breaks.
     pub region_starts: &'a [u64],
@@ -164,6 +171,12 @@ impl AnalysisPlan {
 
     /// The x86 evidence adapter: classifies `E` (or `E ∪` the pattern
     /// scan, when `scan`) and feeds the shared build.
+    ///
+    /// The classification is one merge walk over three ascending lists —
+    /// `E`, the landing pads and the call sites — with a PLT lookup only
+    /// for a call that returns onto an end-branch. A list that is not
+    /// ascending (hostile images, see [`SweepIndex`]; or the scan union,
+    /// two sorted runs) is first sorted into a `scratch` copy.
     fn rebuild_x86(
         &mut self,
         parsed: &Parsed<'_>,
@@ -171,42 +184,59 @@ impl AnalysisPlan {
         scratch: &mut Scratch,
         scan: bool,
     ) {
-        // Special (setjmp-family) return points are a subset of the
-        // PLT return points; both lists come from the same PLT lookup.
         let t = Instant::now();
-        scratch.return_points.clear();
-        scratch.plt_returns.clear();
-        for &(after, target) in &sweep.call_sites {
-            if let Some(name) = parsed.plt.name_at(target) {
-                scratch.plt_returns.push(after);
-                if is_indirect_return_name(name) {
-                    scratch.return_points.push(after);
-                }
-            }
-        }
-        scratch.return_points.sort_unstable();
-        scratch.return_points.dedup();
-        scratch.plt_returns.sort_unstable();
-        scratch.plt_returns.dedup();
+        // PLT stubs in address order, each flagged when it dispatches to
+        // an indirect-return (setjmp-family) function.
+        scratch.plt_stubs.clear();
+        scratch
+            .plt_stubs
+            .extend(parsed.plt.iter().map(|(addr, name)| (addr, is_indirect_return_name(name))));
+        let stubs = &scratch.plt_stubs;
 
-        let classify = |e: u64| {
-            if parsed.landing_pads.contains(&e) {
+        let endbrs: &[u64] = if scan {
+            let union = &mut scratch.sorted_endbrs;
+            union.clear();
+            union.extend_from_slice(&sweep.endbrs);
+            union.extend(scan_endbr_pattern(parsed));
+            union.sort(); // merges the two ascending runs
+            union
+        } else {
+            ascending(&sweep.endbrs, &mut scratch.sorted_endbrs, |&e| e)
+        };
+        let call_sites = ascending(&sweep.call_sites, &mut scratch.sorted_call_sites, |&(a, _)| a);
+
+        let mut pads = parsed.landing_pads.iter().copied().peekable();
+        let mut c = 0;
+        scratch.endbrs.clear();
+        for &e in endbrs {
+            if scratch.endbrs.last().is_some_and(|&(last, _)| last == e) {
+                continue; // duplicate
+            }
+            while pads.next_if(|&pad| pad < e).is_some() {}
+            while c < call_sites.len() && call_sites[c].0 < e {
+                c += 1;
+            }
+            // Special (setjmp-family) returns are a subset of the PLT
+            // returns; both come from the calls returning onto `e`.
+            let (mut plt, mut special) = (false, false);
+            while c < call_sites.len() && call_sites[c].0 == e {
+                if let Ok(k) = stubs.binary_search_by_key(&call_sites[c].1, |&(a, _)| a) {
+                    plt = true;
+                    special |= stubs[k].1;
+                }
+                c += 1;
+            }
+            let class = if pads.peek() == Some(&e) {
                 EndbrClass::LandingPad
-            } else if scratch.return_points.binary_search(&e).is_ok() {
+            } else if special {
                 EndbrClass::SpecialReturn
-            } else if scratch.plt_returns.binary_search(&e).is_ok() {
+            } else if plt {
                 EndbrClass::PltReturn
             } else {
                 EndbrClass::Plain
-            }
-        };
-        scratch.endbrs.clear();
-        scratch.endbrs.extend(sweep.endbrs.iter().map(|&e| (e, classify(e))));
-        if scan {
-            scratch.endbrs.extend(scan_endbr_pattern(parsed).into_iter().map(|e| (e, classify(e))));
+            };
+            scratch.endbrs.push((e, class));
         }
-        scratch.endbrs.sort_unstable_by_key(|&(e, _)| e);
-        scratch.endbrs.dedup_by_key(|&mut (e, _)| e);
         scratch.stats.filter_ns += t.elapsed().as_nanos() as u64;
 
         scratch.region_starts.clear();
@@ -474,6 +504,19 @@ impl AnalysisPlan {
     }
 }
 
+/// `items` when already ascending by `key`, else a copy sorted into
+/// `buf` — how the merge walks restore the order a hostile image can
+/// break (see [`SweepIndex`]).
+fn ascending<'a, T: Copy>(items: &'a [T], buf: &'a mut Vec<T>, key: impl Fn(&T) -> u64) -> &'a [T] {
+    if items.windows(2).all(|w| key(&w[0]) <= key(&w[1])) {
+        return items;
+    }
+    buf.clear();
+    buf.extend_from_slice(items);
+    buf.sort_by_key(key);
+    buf
+}
+
 /// Union of two strictly-ascending runs into `out` (cleared first).
 fn merge_union_into(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
     out.clear();
@@ -597,6 +640,67 @@ mod tests {
         let scan = Config { endbr_pattern_scan: true, ..Config::c1() };
         assert!(reference::identify(&scan, &synthetic).functions.contains(&0x1001));
         assert!(!reference::identify(&Config::c1(), &synthetic).functions.contains(&0x1001));
+    }
+
+    #[test]
+    fn classification_walk_matches_reference_on_hostile_order() {
+        use funseeker_elf::PltMap;
+        use std::collections::BTreeSet;
+        // endbr64 at 0x1000, 0x1009, 0x100d and 0x1011; the `mov`
+        // immediate at 0x1004 hides one at 0x1005 that only the pattern
+        // scan sees.
+        let mut code = vec![0xf3, 0x0f, 0x1e, 0xfa, 0xb8, 0xf3, 0x0f, 0x1e, 0xfa];
+        for _ in 0..3 {
+            code.extend([0xf3, 0x0f, 0x1e, 0xfa]);
+        }
+        code.push(0xc3);
+        let mut parsed = Parsed::from_region(0x1000, &code, true);
+        parsed.plt = PltMap::from_pairs([(0x500, "setjmp"), (0x510, "puts"), (0x520, "_setjmp")]);
+        // 0x100d is a landing pad and a PLT return at once.
+        parsed.landing_pads = BTreeSet::from([0x100d, 0x1fff]);
+        let mut prepared = Prepared::from_parsed(parsed);
+        let index = &mut prepared.index;
+        assert_eq!(index.endbrs, [0x1000, 0x1009, 0x100d, 0x1011]);
+        // `E` out of order with a duplicate, as overlapping sections
+        // leave it.
+        index.endbrs.push(0x1009);
+        // Out of order call sites: two returning onto 0x1009 (one plain
+        // PLT call, one setjmp), a repeated PLT return at 0x1011, a
+        // setjmp return onto the scan-only 0x1005, a non-PLT call, and a
+        // call whose end wrapped to 0.
+        index.call_sites = vec![
+            (0x1011, 0x510),
+            (0x1009, 0x510),
+            (0x100d, 0x510),
+            (0x1005, 0x520),
+            (0x1009, 0x500),
+            (0x1011, 0x510),
+            (0x1000, 0x1000),
+            (0, 0x520),
+        ];
+        let e: BTreeSet<u64> = index.endbrs.iter().copied().collect();
+        let kept = reference::filter_endbr(&prepared.parsed, &prepared.index.call_sites, &e);
+        assert_eq!(kept, BTreeSet::from([0x1000, 0x1011]));
+
+        let mut plan = AnalysisPlan::new();
+        let mut scratch = Scratch::new();
+        plan.rebuild(&prepared.parsed, &prepared.index, &mut scratch);
+        assert_eq!(plan.filtered_entry_count(), kept.len());
+        let classes = ENDBR_CLASSES.map(|c| plan.class_count(c));
+        assert_eq!(classes, [1, 1, 1, 1], "pad, special, PLT return, plain");
+
+        let mut configs: Vec<Config> = Config::table2().iter().map(|&(_, c)| c).collect();
+        configs
+            .extend(configs.clone().into_iter().map(|c| Config { endbr_pattern_scan: true, ..c }));
+        for config in configs {
+            let fast = plan.derive(&config, &prepared.parsed, &prepared.index, &mut scratch);
+            assert_eq!(fast, reference::identify(&config, &prepared), "{config:?}");
+        }
+        assert_eq!(
+            plan.class_count(EndbrClass::SpecialReturn),
+            2,
+            "the scan union classifies 0x1005 as a setjmp return"
+        );
     }
 
     #[test]

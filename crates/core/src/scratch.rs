@@ -1,7 +1,7 @@
 //! Reusable working-set arena for the Algorithm-1 stages.
 //!
 //! Every [`crate::AnalysisPlan`] build and derivation needs a handful of
-//! temporaries: the classified end-branch list, the PLT return points,
+//! temporaries: the classified end-branch list, the PLT stub table,
 //! the staged candidate run, SELECTTAILCALL's referer pairs. Allocating
 //! them per call is invisible for one binary but measurable over a
 //! corpus of thousands — the batch engine analyzes one binary per task
@@ -72,10 +72,15 @@ impl StageStats {
 /// contents between calls are unspecified; every user clears before use.
 #[derive(Debug, Default)]
 pub struct Scratch {
-    /// FILTERENDBR's indirect-return points.
-    pub(crate) return_points: Vec<u64>,
-    /// PLT-return points (addresses after any call into the PLT).
-    pub(crate) plt_returns: Vec<u64>,
+    /// PLT stub addresses, ascending, each flagged when the stub
+    /// dispatches to an indirect-return function — FILTERENDBR's lookup
+    /// table.
+    pub(crate) plt_stubs: Vec<(u64, bool)>,
+    /// `E` sorted, when the sweep's is not ascending or is widened by the
+    /// pattern scan.
+    pub(crate) sorted_endbrs: Vec<u64>,
+    /// The call sites sorted, when the sweep's are not ascending.
+    pub(crate) sorted_call_sites: Vec<(u64, u64)>,
     /// `E` tagged with evidence classes — the x86 adapter's
     /// [`crate::Evidence::endbrs`].
     pub(crate) endbrs: Vec<(u64, crate::EndbrClass)>,
@@ -104,12 +109,13 @@ impl Scratch {
     /// Total heap capacity currently retained, in bytes — what a batch
     /// scheduler accounts against its in-flight memory budget.
     pub fn capacity_bytes(&self) -> usize {
-        let u64s = self.return_points.capacity()
-            + self.plt_returns.capacity()
+        let u64s = self.sorted_endbrs.capacity()
             + self.region_starts.capacity()
             + self.functions.capacity()
             + self.tails.capacity();
         u64s * std::mem::size_of::<u64>()
+            + self.plt_stubs.capacity() * std::mem::size_of::<(u64, bool)>()
+            + self.sorted_call_sites.capacity() * std::mem::size_of::<(u64, u64)>()
             + self.endbrs.capacity() * std::mem::size_of::<(u64, crate::EndbrClass)>()
             + self.referers.capacity() * std::mem::size_of::<(u64, Option<u64>)>()
             + self.work.capacity() * std::mem::size_of::<u32>()

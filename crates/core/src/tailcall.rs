@@ -16,11 +16,17 @@
 //! candidate-free region (e.g. `.fini`) is not attributed to the last
 //! `.text` candidate's interval.
 //!
-//! The accumulator is a flat `Vec<(target, interval)>` that is sorted
-//! and deduplicated once, then scanned in runs per target, instead of
-//! the `BTreeMap<u64, BTreeSet<…>>` of [`crate::reference`], whose
-//! per-edge tree inserts dominate at corpus scale. The buffers are
-//! reused across binaries via [`crate::Scratch`].
+//! The jump edges arrive in site order (the sweep's), so two forward
+//! cursors — one over the candidates, one over the region starts — give
+//! each site's interval `[break, next break)` without a search. Most
+//! jumps stay inside it and are settled by two comparisons; only the
+//! rest pay one binary search, for "target ∈ candidates". A site below
+//! its predecessor restarts the cursors, so any edge order stays
+//! correct. The accumulator is a flat `Vec<(target, interval)>` that is
+//! sorted and deduplicated once, then scanned in runs per target,
+//! instead of the `BTreeMap<u64, BTreeSet<…>>` of [`crate::reference`],
+//! whose per-edge tree inserts dominate at corpus scale. The buffers
+//! are reused across binaries via [`crate::Scratch`].
 //!
 //! # Relation to the call graph
 //!
@@ -43,7 +49,8 @@
 ///
 /// * `candidates` — the current function-start estimate (`E′ ∪ C` or
 ///   `E ∪ C`) as a **sorted, deduplicated** slice.
-/// * `jmp_edges` — `(site, target)` pairs of direct unconditional jumps.
+/// * `jmp_edges` — `(site, target)` pairs of direct unconditional jumps,
+///   in any order; ascending by site (the sweep's order) is the fast case.
 /// * `region_starts` — sorted start addresses of the code regions; may
 ///   be empty for single-interval analyses (tests, synthetic inputs).
 ///
@@ -58,31 +65,45 @@ pub(crate) fn tail_referer_runs_into(
 ) {
     debug_assert!(candidates.windows(2).all(|w| w[0] < w[1]), "candidates must be sorted+deduped");
 
-    // Interval id of an address = the greatest candidate-or-region-start
-    // ≤ address (None for addresses before all of them). For a single
-    // region this matches the plain candidate interval: addresses below
-    // the first candidate share the region-start interval, which the
-    // site/target comparison treats just like sharing `None`.
-    let interval = |addr: u64| -> Option<u64> {
-        let cand = candidates[..candidates.partition_point(|&c| c <= addr)].last().copied();
-        let region = region_starts[..region_starts.partition_point(|&s| s <= addr)].last().copied();
-        cand.max(region)
-    };
+    // The interval of an address runs from the greatest candidate or
+    // region start ≤ it (None below all of them) to the next one. For a
+    // single region this matches the plain candidate interval: addresses
+    // below the first candidate share the region-start interval, which
+    // behaves just like sharing `None`.
+    //
+    // Two cursors follow the site: `ci` candidates and `ri` region starts
+    // lie at or below it. A site below the previous one restarts them.
+    let (mut ci, mut ri, mut prev_site) = (0, 0, 0);
 
     // `(target, referring interval)` pairs, excluding the target's own
     // interval; dedup after sorting collapses repeated jumps from the
     // same function into one referer.
     referers.clear();
     for &(site, target) in jmp_edges {
+        if site < prev_site {
+            (ci, ri) = (0, 0);
+        }
+        prev_site = site;
+        ci = count_at_or_below(candidates, ci, site);
+        ri = count_at_or_below(region_starts, ri, site);
+        let start = ci
+            .checked_sub(1)
+            .map(|k| candidates[k])
+            .max(ri.checked_sub(1).map(|k| region_starts[k]));
+        let end = match (candidates.get(ci), region_starts.get(ri)) {
+            (Some(&c), Some(&r)) => Some(c.min(r)),
+            (c, r) => c.or(r).copied(),
+        };
+        // Condition (1): the jump must leave its own function's interval.
+        // A target inside it — the interval's own candidate included —
+        // is settled here without a search.
+        if start.is_none_or(|s| s <= target) && end.is_none_or(|e| target < e) {
+            continue;
+        }
         if candidates.binary_search(&target).is_ok() {
             continue; // already identified; nothing to decide
         }
-        let site_iv = interval(site);
-        // Condition (1): the jump must leave its own function's interval.
-        if site_iv == interval(target) {
-            continue;
-        }
-        referers.push((target, site_iv));
+        referers.push((target, start));
     }
     referers.sort_unstable();
     referers.dedup();
@@ -99,6 +120,19 @@ pub(crate) fn tail_referer_runs_into(
         runs.push((target, (j - i) as u32));
         i = j;
     }
+}
+
+/// The number of `sorted` elements ≤ `addr`, given that the first `from`
+/// are: gallops forward from `from`, so a cursor that moves `d` places
+/// costs O(log d) — O(1) for the common short step.
+fn count_at_or_below(sorted: &[u64], from: usize, addr: u64) -> usize {
+    let (mut lo, mut step) = (from, 1);
+    while lo + step <= sorted.len() && sorted[lo + step - 1] <= addr {
+        lo += step;
+        step *= 2;
+    }
+    let hi = (lo + step - 1).min(sorted.len());
+    lo + sorted[lo..hi].partition_point(|&x| x <= addr)
 }
 
 #[cfg(test)]
@@ -226,6 +260,67 @@ mod tests {
                 let derived: BTreeSet<u64> =
                     runs.iter().filter(|&&(_, n)| n as usize >= min).map(|&(t, _)| t).collect();
                 assert_eq!(derived, expect, "min_referers={min} regions={regions:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn count_at_or_below_gallops_from_any_cursor() {
+        let sorted = [2u64, 3, 3, 5, 8, 13, 21, 34, 55];
+        for addr in 0..60 {
+            let want = sorted.iter().filter(|&&x| x <= addr).count();
+            for from in 0..=want {
+                assert_eq!(count_at_or_below(&sorted, from, addr), want, "addr={addr} from={from}");
+            }
+        }
+        assert_eq!(count_at_or_below(&[], 0, 7), 0);
+    }
+
+    proptest::proptest! {
+        /// The cursor walk against the reference SELECTTAILCALL at
+        /// thresholds 1–3: edges shuffled and duplicated as well as in
+        /// site order, several region starts (some equal to a candidate),
+        /// and targets placed exactly on interval breaks.
+        #[test]
+        fn referer_runs_match_the_reference_in_any_edge_order(
+            cands in proptest::collection::vec(0u64..256, 0..40),
+            fresh_regions in proptest::collection::vec(0u64..256, 0..4),
+            shared_region_stride in 1usize..5,
+            picks in proptest::collection::vec((0u64..256, 0u64..256, proptest::prelude::any::<bool>()), 0..60),
+            dup_stride in 1usize..4,
+        ) {
+            let cands: BTreeSet<u64> = cands.into_iter().collect();
+            let mut regions = fresh_regions;
+            regions.extend(cands.iter().copied().step_by(shared_region_stride));
+            regions.sort_unstable();
+            let breaks: Vec<u64> = cands.iter().chain(&regions).copied().collect();
+            let mut edges: Vec<(u64, u64)> = picks
+                .iter()
+                .map(|&(site, t, on_break)| match on_break && !breaks.is_empty() {
+                    true => (site, breaks[t as usize % breaks.len()]),
+                    false => (site, t),
+                })
+                .collect();
+            let dups: Vec<_> = edges.iter().copied().step_by(dup_stride).collect();
+            edges.extend(dups);
+            let mut by_site = edges.clone();
+            by_site.sort_by_key(|&(site, _)| site);
+
+            let sorted: Vec<u64> = cands.iter().copied().collect();
+            let (mut referers, mut runs) = (Vec::new(), Vec::new());
+            for order in [&edges, &by_site] {
+                for regions in [&[][..], &regions] {
+                    tail_referer_runs_into(&sorted, order, regions, &mut referers, &mut runs);
+                    for min in 1..=3 {
+                        let derived: BTreeSet<u64> =
+                            runs.iter().filter(|&&(_, n)| n as usize >= min).map(|&(t, _)| t).collect();
+                        proptest::prop_assert_eq!(
+                            derived,
+                            select_tail_calls(&cands, order, min, regions),
+                            "min={} regions={:?}", min, regions
+                        );
+                    }
+                }
             }
         }
     }

@@ -49,7 +49,6 @@ fn reference(p: &Parsed<'_>) -> SweepIndex {
         out.decode_errors += swept.error_count;
     }
     out.call_targets = call_targets.into_iter().collect();
-    out.insns.seal();
     out
 }
 
@@ -66,7 +65,16 @@ fn assert_matches_reference(p: &Parsed<'_>) -> Result<(), TestCaseError> {
         ix.regions.iter().map(|r| (r.start, r.end, r.insn_range.clone(), r.decode_errors)).collect()
     };
     prop_assert_eq!(spans(&got), spans(&want), "regions");
-    prop_assert_eq!(got.insns.is_sealed(), want.insns.is_sealed(), "sealed");
+    // The boundary index is built by the first address probe, and then
+    // exactly when an eager seal would build it.
+    prop_assert_eq!(got.insns.is_sealed(), want.insns.is_sealed(), "unsealed until probed");
+    prop_assert!(!got.insns.is_sealed() || got.insns.is_empty(), "disassemble builds no index");
+    let mut eager = want.insns.clone();
+    eager.seal();
+    if let Some(first) = got.insns.iter().next() {
+        prop_assert_eq!(got.insn_at(first.addr), Some(0), "first probe");
+    }
+    prop_assert_eq!(got.insns.is_sealed(), eager.is_sealed(), "sealed by the first probe");
     Ok(())
 }
 

@@ -7,8 +7,9 @@
 //!   index) whose rank gives the position of an instruction's branch
 //!   target in the dense target array, and
 //! * the **instruction-boundary** bitmap (one bit per byte offset,
-//!   built per segment by [`crate::InsnStream::seal`]) whose rank turns
-//!   `insn_at`/`insns_in` address lookups into word operations.
+//!   built per segment by the first address probe or by
+//!   [`crate::InsnStream::seal`]) whose rank turns `insn_at`/`insns_in`
+//!   address lookups into word operations.
 //!
 //! Layout: packed `u64` words plus one `u32` rank entry per 512-bit
 //! block holding the number of set bits *before* the block. A rank
@@ -230,7 +231,7 @@ impl BitRank {
 
     /// Builds a bitmap of `universe` bits with exactly the bits in
     /// `set` (which must be strictly increasing and `< universe`) set —
-    /// the bulk constructor behind [`crate::InsnStream::seal`]. The
+    /// the bulk constructor behind the stream's boundary index. The
     /// result is field-identical to pushing the bits one at a time.
     pub(crate) fn from_sorted(universe: usize, set: &[u32]) -> BitRank {
         let mut words = vec![0u64; universe.div_ceil(64)];

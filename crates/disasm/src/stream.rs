@@ -22,6 +22,8 @@
 //! ([`InsnStream::addr_at`], [`InsnStream::kind_at`],
 //! [`InsnStream::push_reg_indices`], …).
 
+use std::sync::OnceLock;
+
 use crate::bitrank::BitRank;
 use crate::insn::{Insn, InsnKind};
 
@@ -313,16 +315,17 @@ pub struct InsnStream {
     segs: Vec<Seg>,
     /// Sealed instruction-boundary bitmaps, one per segment (bit = a
     /// segment-relative byte offset where an instruction starts; rank =
-    /// instructions before that offset). Empty until [`InsnStream::seal`]
-    /// runs; any mutation clears it. Derived data — excluded from
-    /// equality.
-    boundary: Vec<BitRank>,
+    /// instructions before that offset). Filled by the first address
+    /// probe or by [`InsnStream::seal`]; an empty `Vec` records that the
+    /// stream refused to seal. Any mutation resets it. Derived data —
+    /// excluded from equality.
+    boundary: OnceLock<Vec<BitRank>>,
 }
 
 /// Equality over the logical stream content (packed arrays, targets,
 /// segmentation). The rank accelerators (`tgts`, `boundary`) are derived
 /// from those fields — `tgts` deterministically so, `boundary` only
-/// after [`InsnStream::seal`] — and are deliberately excluded so a
+/// once the stream is sealed — and are deliberately excluded so a
 /// sealed stream still equals its unsealed twin.
 impl PartialEq for InsnStream {
     fn eq(&self, other: &Self) -> bool {
@@ -364,7 +367,7 @@ impl InsnStream {
                     tgts: sp.tgts,
                     tgt_val: sp.tgt_val,
                     segs: Vec::new(),
-                    boundary: Vec::new(),
+                    boundary: OnceLock::new(),
                 };
             }
             // Too small for this sweep: leave it for a smaller one.
@@ -379,7 +382,7 @@ impl InsnStream {
             tgts,
             tgt_val: Vec::with_capacity(insns / 8),
             segs: Vec::new(),
-            boundary: Vec::new(),
+            boundary: OnceLock::new(),
         }
     }
 
@@ -403,9 +406,7 @@ impl InsnStream {
     /// Starts a new segment: subsequent pushes store offsets relative to
     /// `base`. Replaces the current segment if it is still empty.
     pub fn begin_segment(&mut self, base: u64) {
-        if !self.boundary.is_empty() {
-            self.boundary.clear();
-        }
+        self.boundary.take();
         if let Some(last) = self.segs.last_mut() {
             if last.first == self.offs.len() {
                 last.base = base;
@@ -446,9 +447,7 @@ impl InsnStream {
     /// `target` is consulted only when the tag carries one.
     #[inline]
     pub(crate) fn push_parts(&mut self, addr: u64, len: u8, tag: u8, target: u64) {
-        if !self.boundary.is_empty() {
-            self.boundary.clear();
-        }
+        self.boundary.take();
         let off = self.rel(addr);
         self.push_at(off, len, tag, target);
     }
@@ -458,14 +457,14 @@ impl InsnStream {
     /// one region pushes `off` directly, skipping the per-instruction
     /// segment lookup, the wrapping subtraction in [`InsnStream::rel`],
     /// and the sealed-state check: callers must only use this on a
-    /// stream that was never sealed (the sweep always builds fresh
-    /// ones).
+    /// stream that was never sealed or probed by address (the sweep
+    /// always builds fresh ones).
     ///
     /// The offset must be at or after the last pushed offset of the
     /// current segment (streams are built in address order).
     #[inline]
     pub(crate) fn push_at(&mut self, off: u32, len: u8, tag: u8, target: u64) {
-        debug_assert!(self.boundary.is_empty(), "push_at on a sealed stream");
+        debug_assert!(self.boundary.get().is_none(), "push_at on a sealed stream");
         self.offs.push(off);
         self.lens.push(len);
         self.tags.push(tag);
@@ -493,7 +492,7 @@ impl InsnStream {
         tbits: u64,
         targets: &[u64],
     ) {
-        debug_assert!(self.boundary.is_empty(), "push_packed on a sealed stream");
+        debug_assert!(self.boundary.get().is_none(), "push_packed on a sealed stream");
         debug_assert!(offs.len() <= 64);
         debug_assert!(offs.len() == lens.len() && offs.len() == tags.len());
         debug_assert_eq!(tbits.count_ones() as usize, targets.len());
@@ -513,9 +512,7 @@ impl InsnStream {
         debug_assert!(target.is_none(), "run kinds carry no payload");
         let off0 = self.rel(addr);
         if let Some(end) = off0.checked_add(u32::try_from(n).unwrap_or(u32::MAX)) {
-            if !self.boundary.is_empty() {
-                self.boundary.clear();
-            }
+            self.boundary.take();
             self.offs.extend(off0..end);
             self.lens.extend(std::iter::repeat_n(1, n));
             self.tags.extend(std::iter::repeat_n(tag, n));
@@ -616,16 +613,40 @@ impl InsnStream {
     /// equivalent of `insns.partition_point(|i| i.addr < addr)`.
     ///
     /// Requires the stream to be address-sorted, which every sweep
-    /// product is (regions are swept in address order). On a
-    /// [`InsnStream::seal`]ed stream this is a rank query on the
-    /// boundary bitmap; otherwise a binary search.
+    /// product is (regions are swept in address order). The first probe
+    /// seals the stream (see [`InsnStream::seal`]); on a sealed stream
+    /// this is a rank query on the boundary bitmap, on one that refuses
+    /// to seal a binary search.
     pub fn partition_point_addr(&self, addr: u64) -> usize {
-        if !self.boundary.is_empty() {
-            return match self.sealed_locate(addr) {
+        match self.boundary_index() {
+            Some(maps) => match self.sealed_locate(maps, addr) {
                 SealedHit::Before => 0,
                 SealedHit::In { partition, .. } => partition,
-            };
+            },
+            None => self.search_addr(addr),
         }
+    }
+
+    /// Index of the instruction starting exactly at `addr`, if any.
+    /// Like [`InsnStream::partition_point_addr`], the first probe seals
+    /// the stream; sealed, this is one bit test plus one rank query
+    /// instead of a binary search.
+    pub fn index_of_addr(&self, addr: u64) -> Option<usize> {
+        match self.boundary_index() {
+            Some(maps) => match self.sealed_locate(maps, addr) {
+                SealedHit::Before => None,
+                SealedHit::In { partition, starts_insn } => starts_insn.then_some(partition),
+            },
+            None => {
+                let i = self.search_addr(addr);
+                (i < self.len() && self.addr_at(i) == addr).then_some(i)
+            }
+        }
+    }
+
+    /// Binary-search form of [`InsnStream::partition_point_addr`], for
+    /// streams that refuse to seal.
+    fn search_addr(&self, addr: u64) -> usize {
         let (mut lo, mut hi) = (0usize, self.len());
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
@@ -638,32 +659,32 @@ impl InsnStream {
         lo
     }
 
-    /// Index of the instruction starting exactly at `addr`, if any.
-    /// On a [`InsnStream::seal`]ed stream this is one bit test plus one
-    /// rank query instead of a binary search.
-    pub fn index_of_addr(&self, addr: u64) -> Option<usize> {
-        if !self.boundary.is_empty() {
-            return match self.sealed_locate(addr) {
-                SealedHit::Before => None,
-                SealedHit::In { partition, starts_insn } => starts_insn.then_some(partition),
-            };
-        }
-        let i = self.partition_point_addr(addr);
-        (i < self.len() && self.addr_at(i) == addr).then_some(i)
-    }
-
     /// Builds the per-segment instruction-boundary bitmaps that turn
     /// [`InsnStream::index_of_addr`] and [`InsnStream::partition_point_addr`]
     /// (hence [`InsnStream::range`]) into O(1) rank queries.
     ///
-    /// Call once the stream is fully built — any later mutation drops
-    /// the bitmaps and the lookups fall back to binary search. Sealing
-    /// is skipped (harmlessly) when the stream violates the dense-sorted
+    /// The eager form of what the first address probe does anyway: a
+    /// stream nobody probes never pays for the index. Any later mutation
+    /// drops the bitmaps, and the next probe rebuilds them. Sealing is
+    /// skipped (harmlessly) when the stream violates the dense-sorted
     /// layout the rank queries assume: wrapping or overlapping segment
     /// address spans, non-increasing offsets, or a segment so sparse the
     /// bitmap would dwarf the instructions it indexes.
     pub fn seal(&mut self) {
-        self.boundary.clear();
+        self.boundary = OnceLock::from(self.build_boundary());
+    }
+
+    /// The boundary bitmaps, built on first use; `None` when the stream
+    /// refuses to seal (or is empty).
+    #[inline]
+    fn boundary_index(&self) -> Option<&[BitRank]> {
+        let maps = self.boundary.get_or_init(|| self.build_boundary());
+        (!maps.is_empty()).then_some(maps.as_slice())
+    }
+
+    /// One bitmap per segment, or none when the layout refuses (see
+    /// [`InsnStream::seal`]).
+    fn build_boundary(&self) -> Vec<BitRank> {
         let mut maps = Vec::with_capacity(self.segs.len());
         let mut prev_end: Option<u64> = None;
         for (j, seg) in self.segs.iter().enumerate() {
@@ -673,45 +694,47 @@ impl InsnStream {
             if offs.is_empty() {
                 // An empty segment never owns a lookup result, but its
                 // base ordering is unchecked — refuse to seal around it.
-                return;
+                return Vec::new();
             }
             if !offs.windows(2).all(|w| w[0] < w[1]) {
-                return; // duplicate or descending offsets
+                return Vec::new(); // duplicate or descending offsets
             }
             let max_off = u64::from(offs[offs.len() - 1]);
             let Some(last_addr) = seg.base.checked_add(max_off) else {
-                return; // address span wraps 2^64
+                return Vec::new(); // address span wraps 2^64
             };
             if prev_end.is_some_and(|e| e >= seg.base) {
-                return; // segment spans overlap or are out of order
+                return Vec::new(); // segment spans overlap or are out of order
             }
             prev_end = Some(last_addr);
             let universe = max_off as usize + 1;
             if universe > 64 * offs.len() + 4096 {
-                return; // too sparse: bitmap memory would exceed ~8x the insns
+                return Vec::new(); // too sparse: bitmap memory would exceed ~8x the insns
             }
             maps.push(BitRank::from_sorted(universe, offs));
         }
-        self.boundary = maps;
+        maps
     }
 
-    /// Whether the boundary bitmaps are built (see [`InsnStream::seal`]).
+    /// Whether the boundary bitmaps are built — by [`InsnStream::seal`]
+    /// or by the first address probe, and not dropped by a mutation
+    /// since. An empty stream counts as sealed.
     pub fn is_sealed(&self) -> bool {
-        !self.boundary.is_empty() || self.segs.is_empty()
+        self.boundary.get().is_some_and(|maps| !maps.is_empty()) || self.segs.is_empty()
     }
 
-    /// Sealed-path address lookup: segment probe + rank query. Only
-    /// valid when `boundary` is built (which implies the segment spans
-    /// are sorted, disjoint, and non-wrapping).
+    /// Sealed-path address lookup: segment probe + rank query. `maps`
+    /// is the built boundary index (which implies the segment spans are
+    /// sorted, disjoint, and non-wrapping).
     #[inline]
-    fn sealed_locate(&self, addr: u64) -> SealedHit {
-        debug_assert_eq!(self.boundary.len(), self.segs.len());
+    fn sealed_locate(&self, maps: &[BitRank], addr: u64) -> SealedHit {
+        debug_assert_eq!(maps.len(), self.segs.len());
         let j = self.segs.partition_point(|s| s.base <= addr);
         if j == 0 {
             return SealedHit::Before;
         }
         let seg = self.segs[j - 1];
-        let map = &self.boundary[j - 1];
+        let map = &maps[j - 1];
         let next_first = self.segs.get(j).map_or(self.offs.len(), |s| s.first);
         let delta = addr - seg.base; // no wrap: seg.base <= addr
         if delta >= map.len() as u64 {
@@ -806,9 +829,7 @@ impl InsnStream {
     /// Appends a copy of `other`, preserving its segmentation — used to
     /// concatenate per-region sweeps into one per-binary stream.
     pub fn append(&mut self, other: &InsnStream) {
-        if !self.boundary.is_empty() {
-            self.boundary.clear();
-        }
+        self.boundary.take();
         let idx0 = self.offs.len();
         for s in &other.segs {
             self.segs.push(Seg { first: s.first + idx0, base: s.base });
@@ -834,7 +855,7 @@ impl InsnStream {
             + self.tgt_val.len() * 8
             + self.tgts.heap_bytes()
             + self.segs.len() * 16
-            + self.boundary.iter().map(BitRank::heap_bytes).sum::<usize>()
+            + self.boundary.get().map_or(0, |maps| maps.iter().map(BitRank::heap_bytes).sum())
     }
 
     /// Binary search of the packed offset array within the single-segment
@@ -850,9 +871,7 @@ impl InsnStream {
     pub(crate) fn splice_tail(&mut self, chain: &InsnStream, from: usize) {
         debug_assert!(self.segs.len() == 1 && chain.segs.len() == 1);
         debug_assert_eq!(self.segs[0].base, chain.segs[0].base);
-        if !self.boundary.is_empty() {
-            self.boundary.clear();
-        }
+        self.boundary.take();
         self.offs.extend_from_slice(&chain.offs[from..]);
         self.lens.extend_from_slice(&chain.lens[from..]);
         self.tags.extend_from_slice(&chain.tags[from..]);
@@ -1258,9 +1277,11 @@ mod tests {
         let unsealed = all.clone();
         all.seal();
         assert!(all.is_sealed());
+        assert!(!unsealed.is_sealed(), "a clone taken before sealing has no index");
         assert_eq!(all, unsealed, "sealing must not change logical content");
         // Probe every interesting address: each instruction start, one
-        // byte either side, segment edges, and far outside.
+        // byte either side, segment edges, and far outside. The oracle is
+        // the binary search the rank queries replace.
         let mut probes: Vec<u64> = (0..unsealed.len())
             .flat_map(|i| {
                 let a = unsealed.addr_at(i);
@@ -1269,20 +1290,64 @@ mod tests {
             .collect();
         probes.extend([0, 0xfff, 0x1013, 0x8fff, 0x9007, u64::MAX]);
         for addr in probes {
-            assert_eq!(
-                all.partition_point_addr(addr),
-                unsealed.partition_point_addr(addr),
-                "partition_point_addr({addr:#x})"
-            );
+            let want = unsealed.search_addr(addr);
+            assert_eq!(all.partition_point_addr(addr), want, "partition_point_addr({addr:#x})");
             assert_eq!(
                 all.index_of_addr(addr),
-                unsealed.index_of_addr(addr),
+                (want < all.len() && all.addr_at(want) == addr).then_some(want),
                 "index_of_addr({addr:#x})"
             );
         }
         let sealed_range: Vec<_> = all.range(0x1004, 0x9001).collect();
-        let plain_range: Vec<_> = unsealed.range(0x1004, 0x9001).collect();
+        let plain_range: Vec<_> =
+            unsealed.iter().filter(|i| (0x1004..0x9001).contains(&i.addr)).collect();
         assert_eq!(sealed_range, plain_range);
+    }
+
+    #[test]
+    fn first_probe_builds_the_index() {
+        let (_, s) = sample();
+        assert!(!s.is_sealed(), "building a stream builds no index");
+        assert_eq!(s.index_of_addr(s.addr_at(3)), Some(3));
+        assert!(s.is_sealed(), "the first probe seals");
+        let mut t = s.clone();
+        assert!(t.is_sealed(), "a clone keeps the built index");
+        t.push(Insn { addr: 0x1012, len: 1, kind: InsnKind::Nop });
+        assert!(!t.is_sealed(), "mutation resets the index");
+        assert_eq!(t.partition_point_addr(0x1012), 7);
+        assert!(t.is_sealed());
+    }
+
+    #[test]
+    fn concurrent_first_probes_agree() {
+        // Two threads race to build the index of one shared, unsealed
+        // stream (a barrier releases both at once); both must answer
+        // every probe like the binary search.
+        let (_, s) = sample();
+        assert!(!s.is_sealed());
+        let probes: Vec<u64> = (0x0ff0..0x1020).collect();
+        let start = std::sync::Barrier::new(2);
+        let answers: Vec<Vec<(usize, Option<usize>)>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        probes
+                            .iter()
+                            .map(|&a| (s.partition_point_addr(a), s.index_of_addr(a)))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert!(s.is_sealed());
+        assert_eq!(answers[0], answers[1]);
+        for (&addr, &(partition, index)) in probes.iter().zip(&answers[0]) {
+            assert_eq!(partition, s.search_addr(addr), "partition_point_addr({addr:#x})");
+            let want = (partition < s.len() && s.addr_at(partition) == addr).then_some(partition);
+            assert_eq!(index, want, "index_of_addr({addr:#x})");
+        }
     }
 
     #[test]

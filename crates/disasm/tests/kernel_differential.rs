@@ -151,22 +151,31 @@ fn classify_rex_bytes_flip_with_mode() {
 #[test]
 fn sealed_stream_answers_like_unsealed() {
     // Sweep real-ish bytes, seal a copy, and probe every address in and
-    // around the region: sealing must be observationally invisible.
+    // around the region against a linear scan of the decoded
+    // instructions: the boundary index must be observationally
+    // invisible, whether built eagerly or by the first probe.
     let unit = [0xf3, 0x0f, 0x1e, 0xfa, 0x55, 0x48, 0x89, 0xe5, 0xe8, 0, 0, 0, 0, 0x90, 0xc3];
     let code: Vec<u8> = unit.iter().copied().cycle().take(700).collect();
     let base = 0x40_1000u64;
-    let plain: InsnStream = sweep_all(&code, base, Mode::Bits64).stream;
-    let mut sealed = plain.clone();
+    let lazy: InsnStream = sweep_all(&code, base, Mode::Bits64).stream;
+    let insns: Vec<_> = lazy.iter().collect();
+    let mut sealed = lazy.clone();
     sealed.seal();
     assert!(sealed.is_sealed());
-    assert_eq!(plain, sealed, "sealing must not change stream equality");
+    assert!(!lazy.is_sealed(), "a sweep builds no boundary index");
+    assert_eq!(lazy, sealed, "sealing must not change stream equality");
     for addr in (base - 4)..(base + code.len() as u64 + 4) {
-        assert_eq!(plain.index_of_addr(addr), sealed.index_of_addr(addr), "index_of {addr:#x}");
+        let want = insns.iter().position(|i| i.addr == addr);
+        assert_eq!(sealed.index_of_addr(addr), want, "sealed index_of {addr:#x}");
+        assert_eq!(lazy.index_of_addr(addr), want, "lazy index_of {addr:#x}");
+        let below = insns.iter().filter(|i| i.addr < addr).count();
+        assert_eq!(sealed.partition_point_addr(addr), below, "partition_point {addr:#x}");
     }
+    assert!(lazy.is_sealed(), "the first probe built the index");
     for (lo, hi) in [(base, base + 7), (base - 9, base + 700), (base + 33, base + 34)] {
-        let a: Vec<_> = plain.range(lo, hi).collect();
-        let b: Vec<_> = sealed.range(lo, hi).collect();
-        assert_eq!(a, b, "range {lo:#x}..{hi:#x}");
+        let want: Vec<_> = insns.iter().filter(|i| (lo..hi).contains(&i.addr)).copied().collect();
+        let got: Vec<_> = sealed.range(lo, hi).collect();
+        assert_eq!(got, want, "range {lo:#x}..{hi:#x}");
     }
 }
 
