@@ -18,6 +18,9 @@ FUNSEEKER_MMAP=0 cargo test --workspace -q
 echo "==> disasm tests with kernels forced to the portable SWAR tier"
 FUNSEEKER_KERNEL_TIER=swar cargo test -q -p funseeker-disasm
 
+echo "==> evidence sweep ≡ stream filter under the SWAR tier"
+FUNSEEKER_KERNEL_TIER=swar cargo test -q -p funseeker --test proptest_evidence
+
 echo "==> mutation fuzz harness (1000 cases)"
 FUNSEEKER_MUTATION_CASES=1000 cargo test -q -p funseeker-corpus --test proptest_mutate
 

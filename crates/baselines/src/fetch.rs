@@ -46,7 +46,7 @@ impl FunctionIdentifier for FetchLike {
         // not just FDE ranges) — read from the shared sweep index. The
         // packed stream's binary search replaces the address→index map a
         // `Vec<Insn>` representation needed.
-        let insns = &p.index.insns;
+        let insns = p.index.insns();
 
         let ranges: &[(u64, u64)] = &p.parsed.fde_ranges; // (begin, end), sorted
         let owner = |addr: u64| -> Option<usize> {

@@ -52,8 +52,8 @@ impl FunctionIdentifier for GhidraLike {
         // "function start patterns" analyzer). The candidate filter runs
         // on the packed tag array — one byte per instruction — instead of
         // materializing every instruction.
-        for idx in p.index.insns.push_reg_indices(5) {
-            let addr = p.index.insns.addr_at(idx);
+        for idx in p.index.insns().push_reg_indices(5) {
+            let addr = p.index.insns().addr_at(idx);
             if has_frame_prologue(p, addr) && is_gap_start(p, addr) {
                 functions.insert(addr);
             }
@@ -70,7 +70,7 @@ fn is_gap_start(p: &Prepared<'_>, addr: u64) -> bool {
     if p.parsed.code.is_region_start(addr) {
         return true;
     }
-    let insns = &p.index.insns;
+    let insns = p.index.insns();
     let idx = insns.partition_point_addr(addr);
     if idx == 0 {
         return true;

@@ -27,7 +27,7 @@ impl FunctionIdentifier for IdaLike {
     }
 
     fn identify_prepared(&self, p: &Prepared<'_>) -> Result<funseeker::FuncSet, funseeker::Error> {
-        let insns = &p.index.insns;
+        let insns = p.index.insns();
 
         // Seed: entry point, the start-routine's main argument, and
         // every direct call target. (IDA defines code throughout the
@@ -127,7 +127,7 @@ fn starts_after_break(p: &Prepared<'_>, addr: u64) -> bool {
     if p.parsed.code.is_region_start(addr) {
         return true;
     }
-    let insns = &p.index.insns;
+    let insns = p.index.insns();
     let idx = insns.partition_point_addr(addr);
     if idx == 0 {
         return true;

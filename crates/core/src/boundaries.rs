@@ -46,8 +46,8 @@ impl FunctionBounds {
 /// function never extends past the end of its code region: the last
 /// entry in `.text` stops at `.text`'s end even when `.fini` follows.
 ///
-/// Reads the instruction stream from the shared [`Prepared::index`]; no
-/// re-disassembly happens here.
+/// Reads the instruction stream of the shared [`Prepared::index`],
+/// which the first stream reader builds.
 pub fn estimate_bounds<I>(prepared: &Prepared<'_>, entries: I) -> Vec<FunctionBounds>
 where
     I: IntoIterator,

@@ -112,7 +112,7 @@ impl CallGraph {
 /// [`crate::Analysis::functions`] collected into a `Vec`).
 pub fn build_call_graph(sweep: &SweepIndex, entries: &[u64]) -> CallGraph {
     debug_assert!(entries.windows(2).all(|w| w[0] < w[1]), "entries must be sorted+deduped");
-    let s = &sweep.insns;
+    let s = sweep.insns();
 
     // Owning function of an address: the greatest entry at or before it,
     // unless a region boundary intervenes (a function never spans two
@@ -193,7 +193,7 @@ pub(crate) fn reachable_insns_into(
     reach: &mut Vec<u64>,
     work: &mut Vec<u32>,
 ) {
-    let s = &sweep.insns;
+    let s = sweep.insns();
     let words = s.len().div_ceil(64);
     reach.clear();
     reach.resize(words, 0);
@@ -243,7 +243,7 @@ mod tests {
     use crate::disassemble::disassemble;
     use crate::parse::Parsed;
 
-    fn sweep(code: &[u8], addr: u64) -> SweepIndex {
+    fn sweep(code: &[u8], addr: u64) -> SweepIndex<'_> {
         disassemble(&Parsed::from_region(addr, code, true))
     }
 

@@ -6,8 +6,9 @@
 //! direct branch target is a leader, and the instruction after any
 //! control transfer (or after a decode-error gap) is a leader — then
 //! connect consecutive leader-delimited runs with intra-procedural
-//! edges read from [`funseeker_disasm::Flow`]. No bytes are re-decoded:
-//! everything comes from the sweep's packed tag/target arrays.
+//! edges read from [`funseeker_disasm::Flow`]. Everything comes from the
+//! packed tag/target arrays of [`SweepIndex::insns`], built once per
+//! binary on first use.
 //!
 //! Blocks **exactly tile** the function's slice of the packed stream:
 //! every instruction index in `[lo, hi)` belongs to exactly one block,
@@ -70,7 +71,7 @@ impl Cfg {
 /// mid-instruction produce no intra-procedural edge (a jump out of the
 /// range is a tail-call exit; a mid-instruction target is junk).
 pub fn build_cfg(sweep: &SweepIndex, entry: u64, limit: u64) -> Cfg {
-    let s = &sweep.insns;
+    let s = sweep.insns();
     let lo = s.partition_point_addr(entry);
     let hi = s.partition_point_addr(limit.max(entry));
 
@@ -174,7 +175,7 @@ mod tests {
     use crate::disassemble::disassemble;
     use crate::parse::Parsed;
 
-    fn sweep(code: &[u8], addr: u64) -> SweepIndex {
+    fn sweep(code: &[u8], addr: u64) -> SweepIndex<'_> {
         disassemble(&Parsed::from_region(addr, code, true))
     }
 
@@ -199,7 +200,7 @@ mod tests {
         assert_eq!(cfg.blocks[0].start, 0x1000);
         assert_eq!(cfg.blocks[0].end, 0x1007);
         assert!(cfg.blocks[0].succs.is_empty(), "ret has no successor");
-        assert_tiles(&cfg, 0, s.insns.len());
+        assert_tiles(&cfg, 0, s.insns().len());
     }
 
     #[test]
@@ -214,7 +215,7 @@ mod tests {
         assert_eq!(cfg.blocks[1].succs, vec![2]);
         assert!(cfg.blocks[2].succs.is_empty());
         assert_eq!(cfg.edge_count(), 3);
-        assert_tiles(&cfg, 0, s.insns.len());
+        assert_tiles(&cfg, 0, s.insns().len());
     }
 
     #[test]

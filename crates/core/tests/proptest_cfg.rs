@@ -25,7 +25,7 @@ fn assert_cfgs_tile(bytes: &[u8], ctx: &str) -> usize {
     let cfgs = build_cfgs(&prepared.index, &entries);
     assert_eq!(cfgs.len(), entries.len(), "{ctx}: one CFG per entry");
 
-    let s = &prepared.index.insns;
+    let s = prepared.index.insns();
     for (cfg, &entry) in cfgs.iter().zip(&entries) {
         assert_eq!(cfg.entry, entry);
         let lo = s.partition_point_addr(cfg.range.0);

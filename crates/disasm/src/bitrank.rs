@@ -223,12 +223,6 @@ impl BitRank {
         r
     }
 
-    /// Positions of the set bits, ascending — a word-at-a-time walk
-    /// that costs one test per zero word.
-    pub(crate) fn ones_iter(&self) -> Ones<'_> {
-        Ones { map: self, wi: 0, w: self.word(0) }
-    }
-
     /// Builds a bitmap of `universe` bits with exactly the bits in
     /// `set` (which must be strictly increasing and `< universe`) set —
     /// the bulk constructor behind the stream's boundary index. The
@@ -253,35 +247,6 @@ impl BitRank {
         }
         debug_assert_eq!(ones + cur.count_ones() as usize, set.len());
         BitRank { words, rank, len: universe, ones, cur }
-    }
-}
-
-/// Iterator over the set-bit positions of a [`BitRank`] — see
-/// [`BitRank::ones_iter`].
-pub(crate) struct Ones<'a> {
-    map: &'a BitRank,
-    /// Index of the word `w` came from (the tail word is index
-    /// `words.len()`).
-    wi: usize,
-    /// Bits of word `wi` not yet yielded.
-    w: u64,
-}
-
-impl Iterator for Ones<'_> {
-    type Item = usize;
-
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        while self.w == 0 {
-            if self.wi >= self.map.words.len() {
-                return None;
-            }
-            self.wi += 1;
-            self.w = self.map.word(self.wi);
-        }
-        let bit = self.w.trailing_zeros() as usize;
-        self.w &= self.w - 1;
-        Some(self.wi * 64 + bit)
     }
 }
 
@@ -389,20 +354,6 @@ mod tests {
         assert_eq!(bulk.cur, inc.cur);
         for i in [0usize, 1, 6, 7, 511, 512, 1023, 1999, 2000] {
             assert_eq!(bulk.rank(i), inc.rank(i), "rank({i})");
-        }
-    }
-
-    #[test]
-    fn ones_iter_yields_every_set_bit_including_the_tail() {
-        for n in [0usize, 1, 63, 64, 65, 700] {
-            let mut x = 0x0bad_cafe_1234_5678u64;
-            let bits: Vec<bool> = (0..n).map(|_| xorshift(&mut x).is_multiple_of(3)).collect();
-            let mut b = BitRank::new();
-            for &bit in &bits {
-                b.push(bit);
-            }
-            let want: Vec<usize> = (0..n).filter(|&i| bits[i]).collect();
-            assert_eq!(b.ones_iter().collect::<Vec<_>>(), want, "n={n}");
         }
     }
 

@@ -55,7 +55,7 @@ pub(crate) fn has_target(tag: u8) -> bool {
 }
 
 #[inline]
-fn tag_of(kind: InsnKind) -> (u8, Option<u64>) {
+pub(crate) fn tag_of(kind: InsnKind) -> (u8, Option<u64>) {
     match kind {
         InsnKind::Other => (TAG_OTHER, None),
         InsnKind::Endbr64 => (TAG_ENDBR64, None),
@@ -785,47 +785,6 @@ impl InsnStream {
         self.tags.iter().enumerate().filter(move |&(_, &t)| t == tag).map(|(i, _)| i)
     }
 
-    /// Addresses of the `ENDBR64`/`ENDBR32` instructions, ascending —
-    /// `E` straight from the tag column, scanned 64 tags at a time, with
-    /// no [`Insn`] built for anything else.
-    pub fn endbr_addrs(&self) -> impl Iterator<Item = u64> + '_ {
-        let mut at = AddrCursor::new(self);
-        self.tags
-            .chunks(64)
-            .enumerate()
-            .flat_map(|(c, chunk)| {
-                let mut mask = 0u64;
-                for (k, &t) in chunk.iter().enumerate() {
-                    // ENDBR64 and ENDBR32 are the adjacent tags 1 and 2.
-                    mask |= u64::from(t.wrapping_sub(TAG_ENDBR64) < 2) << k;
-                }
-                std::iter::from_fn(move || {
-                    (mask != 0).then(|| {
-                        let k = mask.trailing_zeros() as usize;
-                        mask &= mask - 1;
-                        c * 64 + k
-                    })
-                })
-            })
-            .map(move |i| at.addr(i))
-    }
-
-    /// The direct `CALL` and `JMP` instructions (`Jcc` skipped), in
-    /// order — a walk of the branch-membership bitmap's set bits with
-    /// the dense target cursor, with no [`Insn`] built for anything
-    /// else.
-    pub fn direct_calls_and_jumps(&self) -> impl Iterator<Item = Insn> + '_ {
-        let mut at = AddrCursor::new(self);
-        self.tgts.ones_iter().zip(&self.tgt_val).filter_map(move |(i, &target)| {
-            let kind = match self.tags[i] {
-                TAG_CALL_REL => InsnKind::CallRel { target },
-                TAG_JMP_REL => InsnKind::JmpRel { target },
-                _ => return None,
-            };
-            Some(Insn { addr: at.addr(i), len: self.lens[i], kind })
-        })
-    }
-
     /// Appends a copy of `other`, preserving its segmentation — used to
     /// concatenate per-region sweeps into one per-binary stream.
     pub fn append(&mut self, other: &InsnStream) {
@@ -890,11 +849,7 @@ struct AddrCursor<'a> {
     seg: usize,
 }
 
-impl<'a> AddrCursor<'a> {
-    fn new(stream: &'a InsnStream) -> Self {
-        AddrCursor { stream, seg: 0 }
-    }
-
+impl AddrCursor<'_> {
     /// Address of instruction `i`; `i` must not decrease between calls.
     #[inline]
     fn addr(&mut self, i: usize) -> u64 {
@@ -1152,63 +1107,6 @@ mod tests {
         let mut want: Vec<_> = a.iter().map(|i| i.addr).collect();
         want.extend([0x9000, 0x9001]);
         assert_eq!(got, want);
-    }
-
-    /// A three-segment stream long enough that both column walks cross
-    /// 64-instruction chunk and bitmap-word boundaries, with every kind
-    /// the walks must pick out or skip.
-    fn multi_segment_stream() -> InsnStream {
-        let (_, a) = sample();
-        let kinds = [
-            InsnKind::Other,
-            InsnKind::Endbr32,
-            InsnKind::JmpRel { target: 0x10 },
-            InsnKind::Jcc { target: 0x20 },
-            InsnKind::CallRel { target: 0x30 },
-            InsnKind::Endbr64,
-            InsnKind::PushReg { reg: 5 },
-            InsnKind::CallInd { notrack: true },
-        ];
-        let mut b = InsnStream::new();
-        b.begin_segment(0x9000);
-        let mut x = 0x2545_f491_4f6c_dd1du64;
-        for k in 0..300u64 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let kind = kinds[(x % kinds.len() as u64) as usize];
-            b.push(Insn { addr: 0x9000 + 3 * k, len: 3, kind });
-        }
-        let mut c = InsnStream::new();
-        c.begin_segment(0x4_0000_0000);
-        c.push(Insn { addr: 0x4_0000_0000, len: 4, kind: InsnKind::Endbr64 });
-        c.push(Insn { addr: 0x4_0000_0004, len: 5, kind: InsnKind::JmpRel { target: 0x9000 } });
-        let mut all = InsnStream::new();
-        all.append(&a);
-        all.append(&b);
-        all.append(&c);
-        all
-    }
-
-    #[test]
-    fn endbr_walk_matches_the_insn_filter() {
-        let s = multi_segment_stream();
-        let want: Vec<u64> = s.iter().filter(|i| i.kind.is_endbr()).map(|i| i.addr).collect();
-        assert!(want.len() > 64, "the walk must cross chunk boundaries");
-        assert_eq!(s.endbr_addrs().collect::<Vec<_>>(), want);
-        assert_eq!(InsnStream::new().endbr_addrs().count(), 0);
-    }
-
-    #[test]
-    fn direct_branch_walk_matches_the_insn_filter() {
-        let s = multi_segment_stream();
-        let want: Vec<Insn> = s
-            .iter()
-            .filter(|i| matches!(i.kind, InsnKind::CallRel { .. } | InsnKind::JmpRel { .. }))
-            .collect();
-        assert!(want.len() > 64, "the walk must cross bitmap words");
-        assert_eq!(s.direct_calls_and_jumps().collect::<Vec<_>>(), want);
-        assert_eq!(InsnStream::new().direct_calls_and_jumps().count(), 0);
     }
 
     #[test]

@@ -69,78 +69,10 @@ impl Iterator for LinearSweep<'_> {
     }
 }
 
-/// Superset disassembly: decodes at **every** byte offset (Bauman et
-/// al., NDSS'18 — referenced as future work in §VI of the paper).
-///
-/// Yields one successfully decoded instruction per starting offset;
-/// undecodable offsets are skipped. Unlike [`LinearSweep`], instructions
-/// overlap freely — the caller filters by whatever invariant it needs
-/// (e.g. "an `ENDBR` anywhere" for superset function-entry recovery).
-#[derive(Debug, Clone)]
-pub struct SupersetSweep<'a> {
-    code: &'a [u8],
-    base: u64,
-    offset: usize,
-    mode: Mode,
-}
-
-impl<'a> SupersetSweep<'a> {
-    /// Sweeps `code` loaded at `base`, decoding at every offset.
-    pub fn new(code: &'a [u8], base: u64, mode: Mode) -> Self {
-        SupersetSweep { code, base, offset: 0, mode }
-    }
-}
-
-impl Iterator for SupersetSweep<'_> {
-    type Item = Insn;
-
-    fn next(&mut self) -> Option<Insn> {
-        while self.offset < self.code.len() {
-            let addr = self.base.wrapping_add(self.offset as u64);
-            let at = self.offset;
-            self.offset += 1;
-            if let Ok(insn) = decode(&self.code[at..], addr, self.mode) {
-                return Some(insn);
-            }
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::insn::InsnKind;
-
-    #[test]
-    fn superset_decodes_at_every_offset() {
-        // mov rax, imm64 hiding an endbr64 in its immediate: the linear
-        // sweep sees one instruction; the superset sweep also surfaces
-        // the embedded endbr.
-        let code = [0x48, 0xb8, 0xf3, 0x0f, 0x1e, 0xfa, 0x00, 0x00, 0x00, 0x00, 0xc3];
-        let linear: Vec<_> = LinearSweep::new(&code, 0x1000, Mode::Bits64).collect();
-        assert!(linear.iter().all(|i| !i.kind.is_endbr()));
-
-        let superset: Vec<_> = SupersetSweep::new(&code, 0x1000, Mode::Bits64).collect();
-        let endbrs: Vec<_> = superset.iter().filter(|i| i.kind.is_endbr()).collect();
-        assert_eq!(endbrs.len(), 1);
-        assert_eq!(endbrs[0].addr, 0x1002);
-        // Superset yields at least as many instructions as linear.
-        assert!(superset.len() >= linear.len());
-    }
-
-    #[test]
-    fn superset_is_a_superset_of_linear() {
-        let code = [
-            0xf3, 0x0f, 0x1e, 0xfa, 0x55, 0x48, 0x89, 0xe5, 0xe8, 0x00, 0x00, 0x00, 0x00, 0xc9,
-            0xc3,
-        ];
-        let linear: std::collections::BTreeSet<u64> =
-            LinearSweep::new(&code, 0, Mode::Bits64).map(|i| i.addr).collect();
-        let superset: std::collections::BTreeSet<u64> =
-            SupersetSweep::new(&code, 0, Mode::Bits64).map(|i| i.addr).collect();
-        assert!(linear.is_subset(&superset));
-    }
 
     #[test]
     fn sweeps_contiguous_code() {

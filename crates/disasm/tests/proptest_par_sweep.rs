@@ -1,7 +1,8 @@
-//! Property tests for the sharding invariant: `par_sweep` must be
-//! bit-identical to the sequential sweep — same instructions (address,
-//! length, kind), same error count — on arbitrary byte soups and on real
-//! corpus-generated code, for every shard count and both modes.
+//! Property tests for the sharding invariant: `sweep_sharded` and
+//! `par_sweep` must be bit-identical to the sequential sweep — same
+//! instructions (address, length, kind), same error count — on
+//! arbitrary byte soups and on real corpus-generated code, for every
+//! kernel tier, every shard count and both modes.
 
 use std::sync::OnceLock;
 
@@ -9,8 +10,7 @@ use funseeker_corpus::{
     compile, Arch, BuildConfig, Compiler, FunctionSpec, Lang, OptLevel, ProgramSpec,
 };
 use funseeker_disasm::{
-    par_sweep, par_sweep_forced, par_sweep_forced_pooled, par_sweep_pooled, sweep_all,
-    sweep_all_tiered, KernelTier, LinearSweep, Mode,
+    adaptive_shards, par_sweep, sweep_all, sweep_sharded, KernelTier, LinearSweep, Mode,
 };
 use funseeker_elf::Elf;
 use funseeker_pool::Pool;
@@ -26,6 +26,23 @@ const POOL_WIDTHS: [usize; 4] = [1, 2, 4, 8];
 fn pools() -> &'static [Pool] {
     static POOLS: OnceLock<Vec<Pool>> = OnceLock::new();
     POOLS.get_or_init(|| POOL_WIDTHS.iter().map(|&w| Pool::with_workers(w)).collect())
+}
+
+/// One 2-worker pool per supported kernel tier, its probe cache seeded
+/// with the tier, so every sweep through it decodes with that tier.
+fn tier_pools() -> &'static [(KernelTier, Pool)] {
+    static POOLS: OnceLock<Vec<(KernelTier, Pool)>> = OnceLock::new();
+    POOLS.get_or_init(|| {
+        KernelTier::ALL
+            .into_iter()
+            .filter(|t| t.is_supported())
+            .map(|t| {
+                let pool = Pool::with_workers(2);
+                pool.probe_cache().store(t as u8, std::sync::atomic::Ordering::Relaxed);
+                (t, pool)
+            })
+            .collect()
+    })
 }
 
 /// Asserts the invariant for one buffer under every shard count, and that
@@ -46,24 +63,23 @@ fn assert_shard_invariant(
         code.len()
     );
     prop_assert_eq!(seq.error_count, reference.error_count(), "sequential error count");
-    // Every supported kernel tier produces the same stream as the
-    // process-default one.
-    for tier in KernelTier::ALL {
-        if !tier.is_supported() {
-            continue;
+    // Every supported kernel tier, sequential and at every shard count,
+    // produces the same stream as the process-default one.
+    for (tier, pool) in tier_pools() {
+        for shards in SHARD_COUNTS {
+            let tiered = sweep_sharded(pool, code, base, mode, shards);
+            prop_assert_eq!(&tiered.stream, &seq.stream, "tier {:?} x{} diverges", tier, shards);
+            prop_assert_eq!(tiered.error_count, seq.error_count, "tier {:?} error count", tier);
         }
-        let tiered = sweep_all_tiered(code, base, mode, tier);
-        prop_assert_eq!(&tiered.stream, &seq.stream, "tier {:?} stream diverges", tier);
-        prop_assert_eq!(tiered.error_count, seq.error_count, "tier {:?} error count", tier);
     }
     // The adaptive entry point may pick either path; the contract holds
     // regardless.
     let adaptive = par_sweep(code, base, mode, 8);
     prop_assert_eq!(&adaptive.stream, &seq.stream, "adaptive par_sweep diverges");
     for shards in SHARD_COUNTS {
-        // Forced, so the speculative decode + stitch stays covered on
-        // one-worker hosts where the adaptive path goes sequential.
-        let par = par_sweep_forced(code, base, mode, shards);
+        // An exact count, so the speculative decode + stitch stays covered
+        // on one-worker hosts where the adaptive path goes sequential.
+        let par = sweep_sharded(funseeker_pool::global(), code, base, mode, shards);
         prop_assert_eq!(
             &par.stream,
             &seq.stream,
@@ -80,24 +96,25 @@ fn assert_shard_invariant(
     }
     // Worker-count invariance: the same bytes through pools of width
     // 1, 2, 4, and 8 — both the adaptive morsel path (which sizes its
-    // morsel count to the pool) and a forced shard count — must all
+    // morsel count to the pool) and a fixed shard count — must all
     // produce the sequential stream.
     for pool in pools() {
-        let adaptive = par_sweep_pooled(pool, code, base, mode, pool.workers());
+        let shards = adaptive_shards(code.len(), pool.workers());
+        let adaptive = sweep_sharded(pool, code, base, mode, shards);
         prop_assert_eq!(
             &adaptive.stream,
             &seq.stream,
             "adaptive stream diverges on a {}-worker pool",
             pool.workers()
         );
-        let forced = par_sweep_forced_pooled(pool, code, base, mode, 5);
+        let fixed = sweep_sharded(pool, code, base, mode, 5);
         prop_assert_eq!(
-            &forced.stream,
+            &fixed.stream,
             &seq.stream,
-            "forced stream diverges on a {}-worker pool",
+            "5-shard stream diverges on a {}-worker pool",
             pool.workers()
         );
-        prop_assert_eq!(forced.error_count, seq.error_count, "pooled error count");
+        prop_assert_eq!(fixed.error_count, seq.error_count, "pooled error count");
     }
     Ok(())
 }
@@ -157,22 +174,22 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Deterministic adversarial morsel boundaries. `par_sweep_forced` puts
+// Deterministic adversarial morsel boundaries. `sweep_sharded` puts
 // shard k's entry point at `k * len / shards`, so these buffers are
 // sized to drop that entry point exactly where resynchronization is
 // hardest: inside a multi-byte instruction, inside an ENDBR64, and deep
 // inside NOP/INT3 padding runs the bulk skipper handles specially.
 // ---------------------------------------------------------------------
 
-/// Asserts the sequential stream is reproduced for `shards` forced
-/// shards on the default pool and on every [`POOL_WIDTHS`] pool.
+/// Asserts the sequential stream is reproduced for `shards` shards on
+/// the default pool and on every [`POOL_WIDTHS`] pool.
 fn assert_boundary_equivalent(code: &[u8], base: u64, mode: Mode, shards: usize) {
     let seq = sweep_all(code, base, mode);
-    let par = par_sweep_forced(code, base, mode, shards);
-    assert_eq!(par.stream, seq.stream, "forced {shards}-shard stream diverges");
-    assert_eq!(par.error_count, seq.error_count, "forced {shards}-shard error count");
+    let par = sweep_sharded(funseeker_pool::global(), code, base, mode, shards);
+    assert_eq!(par.stream, seq.stream, "{shards}-shard stream diverges");
+    assert_eq!(par.error_count, seq.error_count, "{shards}-shard error count");
     for pool in pools() {
-        let pooled = par_sweep_forced_pooled(pool, code, base, mode, shards);
+        let pooled = sweep_sharded(pool, code, base, mode, shards);
         assert_eq!(
             pooled.stream,
             seq.stream,

@@ -163,7 +163,7 @@ pub fn run(quick: bool) -> PerfReport {
         let t = Instant::now();
         let p = prepare(&bin.bytes).expect("benchmark binary prepares");
         stats = *p.sweep_stats();
-        std::hint::black_box(p.index.insns.len());
+        std::hint::black_box(p.sweep_stats().insns);
         samples.push(t.elapsed().as_secs_f64());
     }
     let (best, sd) = crate::variance::best_and_sd(&samples);
@@ -188,7 +188,7 @@ pub fn run(quick: bool) -> PerfReport {
         let t = Instant::now();
         let timed = crate::runner::par_map_timed(&copies, |image| {
             let p = prepare(image).expect("benchmark binary prepares");
-            std::hint::black_box(p.index.insns.len());
+            std::hint::black_box(p.sweep_stats().insns);
         });
         std::hint::black_box(timed.len());
         samples.push(t.elapsed().as_secs_f64() / copies.len() as f64);

@@ -54,7 +54,7 @@ fn main() {
         "code regions   : {}",
         parsed.code.regions().iter().map(|r| r.name.as_str()).collect::<Vec<_>>().join(" ")
     );
-    println!("instructions   : {}", index.insns.len());
+    println!("instructions   : {}", index.insns().len());
     println!("end-branches   : {}", endbrs.len());
     println!("  at landing pads        : {}", endbrs.intersection(&parsed.landing_pads).count());
     println!("  after setjmp-family    : {}", endbrs.intersection(&setjmp_returns).count());
