@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use funseeker::parse::parse;
+use funseeker::parse::{parse, Parsed};
 use funseeker::{Analysis, AnalysisPlan, Config, Prepared, Scratch, StageStats};
 
 use crate::admission::Ballast;
@@ -264,7 +264,7 @@ pub fn run_with_cache<I: AsRef<[u8]> + Sync>(
                 s.spawn(move || {
                     // Stage 2: SWEEP (the shared disassembly pass).
                     let t = Instant::now();
-                    let prepared = Prepared::from_parsed(parsed);
+                    let prepared = prepare_for(parsed, configs, &resolved);
                     sweep_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
                     s.spawn(move || {
                         // Stage 3: ANALYZE the configurations the probe
@@ -423,7 +423,7 @@ pub fn analyze_hashed(
     let parsed = parse(bytes)?;
     out.parse_ns = t.elapsed().as_nanos() as u64;
     let t = Instant::now();
-    let prepared = Prepared::from_parsed(parsed);
+    let prepared = prepare_for(parsed, configs, &resolved);
     out.sweep_ns = t.elapsed().as_nanos() as u64;
     let t = Instant::now();
     let (per_config, stage) = compute_missing(image_hash, configs, resolved, &prepared, mem, disk);
@@ -431,6 +431,21 @@ pub fn analyze_hashed(
     out.stage = stage;
     out.analyze_ns = t.elapsed().as_nanos() as u64;
     Ok(out)
+}
+
+/// The shared sweep for the configurations the cache probe left
+/// unresolved: with the instruction stream, in the same pass, when one
+/// of them reads it.
+fn prepare_for<'a>(
+    parsed: Parsed<'a>,
+    configs: &[Config],
+    resolved: &[Option<Arc<Analysis>>],
+) -> Prepared<'a> {
+    if configs.iter().zip(resolved).any(|(c, hit)| hit.is_none() && c.reads_stream()) {
+        Prepared::from_parsed_with_stream(parsed)
+    } else {
+        Prepared::from_parsed(parsed)
+    }
 }
 
 /// Analyzes every configuration the cache probe left unresolved, with
@@ -507,6 +522,24 @@ mod tests {
         assert!(out.stats.stage.total_ns() > 0);
         assert!(out.stats.stage.entry_candidates > 0);
         assert!(out.stats.stage.final_candidates > 0);
+    }
+
+    #[test]
+    fn the_sweep_builds_the_stream_only_for_a_missing_reader() {
+        let image = own_exe();
+        let sweep = |configs: &[Config], resolved: &[Option<Arc<Analysis>>]| {
+            prepare_for(parse(&image).unwrap(), configs, resolved).index.has_stream()
+        };
+        let interproc = Config { interproc: true, ..Config::c4() };
+        let hit = Some(Arc::new(FunSeeker::new().identify(&image).unwrap()));
+        assert!(!sweep(&[Config::c4()], &[None]), "Algorithm 1 reads no stream");
+        assert!(sweep(&[Config::c4(), interproc], &[None, None]), "one pass for both");
+        assert!(!sweep(&[Config::c4(), interproc], &[None, hit]), "the reader was a cache hit");
+        assert!(
+            !sweep(&[Config { reach_prune: true, ..Config::c4() }], &[None]),
+            "nothing to prune"
+        );
+        assert!(sweep(&[Config { reach_prune: true, ..Config::c3() }], &[None]), "J can be pruned");
     }
 
     #[test]

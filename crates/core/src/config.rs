@@ -42,6 +42,20 @@ pub struct Config {
 }
 
 impl Config {
+    /// Whether reachability pruning can demote a candidate: it is on and
+    /// plain jump targets are candidates (SELECTTAILCALL's selections are
+    /// never demoted).
+    pub fn prunes_reach(&self) -> bool {
+        self.reach_prune && self.include_jump_targets && !self.select_tail_calls
+    }
+
+    /// Whether deriving this configuration reads the sweep's instruction
+    /// stream ([`crate::disassemble::SweepIndex::insns`]): reachability
+    /// pruning and the interprocedural summary do, Algorithm 1 does not.
+    pub fn reads_stream(&self) -> bool {
+        self.prunes_reach() || self.interproc
+    }
+
     /// Configuration ① of Table II: `E ∪ C` — raw end-branches plus
     /// direct call targets.
     pub fn c1() -> Config {

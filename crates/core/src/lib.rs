@@ -51,7 +51,7 @@ pub mod parse;
 pub mod reference;
 pub mod tailcall;
 
-pub use analyzer::{prepare, Analysis, FunSeeker, InterprocSummary, Prepared};
+pub use analyzer::{prepare, prepare_with_stream, Analysis, FunSeeker, InterprocSummary, Prepared};
 pub use boundaries::{estimate_bounds, FunctionBounds};
 pub use callgraph::{build_call_graph, reachable_insns, CallEdge, CallGraph, CallKind};
 pub use cfg::{build_cfg, build_cfgs, BasicBlock, Cfg};

@@ -334,7 +334,7 @@ impl AnalysisPlan {
         // targets, which covers every configuration's `entries` because
         // `E′ ⊆ E`. Only plain jump-target candidates can be demoted.
         let mut pruned_count = 0;
-        if config.reach_prune && config.include_jump_targets && !config.select_tail_calls {
+        if config.prunes_reach() {
             let t = Instant::now();
             if !self.reach_built {
                 let roots = std::iter::once(self.entry)

@@ -15,7 +15,7 @@
 use std::collections::BTreeSet;
 use std::time::Instant;
 
-use funseeker::{build_call_graph, build_cfgs, prepare, FunSeeker};
+use funseeker::{build_call_graph, build_cfgs, prepare_with_stream, FunSeeker};
 use funseeker_corpus::{BuildConfig, Dataset, DatasetParams};
 
 use crate::metrics::Score;
@@ -104,7 +104,7 @@ pub fn run(quick: bool) -> CallGraphReport {
         .binaries
         .iter()
         .map(|bin| {
-            let p = prepare(&bin.bytes).expect("corpus binary prepares");
+            let p = prepare_with_stream(&bin.bytes).expect("corpus binary prepares");
             let entries = seeker.identify_prepared(&p).functions.into_vec();
             (bin, p, entries)
         })

@@ -57,7 +57,7 @@ pub fn run(ds: &Dataset) -> Table3 {
         // shared preparation cost so the per-tool totals stay comparable
         // to the paper's end-to-end measurements.
         let t0 = Instant::now();
-        let prepared = funseeker::prepare(&bin.bytes).expect("corpus binary parses");
+        let prepared = funseeker::prepare_with_stream(&bin.bytes).expect("corpus binary parses");
         let prep_seconds = t0.elapsed().as_secs_f64();
         let mut cells = [ToolCell::default(); 4];
         for (i, tool) in tools.iter().enumerate() {

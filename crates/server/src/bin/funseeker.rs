@@ -120,6 +120,8 @@ fn cmd_local(args: &[String], out: &mut impl Write) -> Status {
     }
 
     let seeker = FunSeeker::with_config(config).strict(strict);
+    // The call graph reads the instruction stream: build it in the sweep.
+    let with_stream = (callgraph && !summary) || config.reads_stream();
     let mut failed = false;
     for path in &paths {
         // Memory-maps regular files (zero-copy); pipes and special
@@ -133,8 +135,12 @@ fn cmd_local(args: &[String], out: &mut impl Write) -> Status {
             }
         };
         // One parse and one sweep serve the analysis and every printer.
-        let analyzed =
-            funseeker::prepare(&bytes).and_then(|p| Ok((seeker.identify_checked(&p)?, p)));
+        let prepared = if with_stream {
+            funseeker::prepare_with_stream(&bytes)
+        } else {
+            funseeker::prepare(&bytes)
+        };
+        let analyzed = prepared.and_then(|p| Ok((seeker.identify_checked(&p)?, p)));
         let (analysis, prepared) = match analyzed {
             Ok(done) => done,
             Err(e) => {
