@@ -2,17 +2,17 @@
 //! reference, per tier, on identical input.
 //!
 //! The whole-sweep benchmark (`sweep_shards`) measures the kernels
-//! diluted by the decoder; this group isolates the three scans — ENDBR
-//! needle search, padding-run skipping, bulk first-byte classification —
-//! so the per-tier speedups (and the SSE2/SWAR fallbacks' costs) are
-//! visible on their own. Inputs are a tiled real `.text` (realistic byte
-//! mix: needles rare, no long pad runs) plus a synthetic padded buffer
-//! for the run-skipper's best case.
+//! diluted by the decoder; this group isolates the two scans — ENDBR
+//! needle search and padding-run skipping — so the per-tier speedups
+//! (and the SSE2/SWAR fallbacks' costs) are visible on their own. Inputs
+//! are a tiled real `.text` (realistic byte mix: needles rare, no long
+//! pad runs) plus a synthetic padded buffer for the run-skipper's best
+//! case.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use funseeker_bench::single_binary;
-use funseeker_disasm::kernels::{classify_block, find_endbr, pad_run_end};
-use funseeker_disasm::{KernelTier, Mode};
+use funseeker_disasm::kernels::{find_endbr, pad_run_end};
+use funseeker_disasm::KernelTier;
 use funseeker_elf::Elf;
 
 /// Tiles one binary's `.text` until the buffer crosses `target` bytes.
@@ -53,24 +53,6 @@ fn bench(c: &mut Criterion) {
     for tier in supported() {
         g.bench_with_input(BenchmarkId::from_parameter(format!("{tier:?}")), &tier, |b, &t| {
             b.iter(|| std::hint::black_box(pad_run_end(&pad, 0, pad.len(), 0x90, t)))
-        });
-    }
-    g.finish();
-
-    // Bulk first-byte classification, block-at-a-time over the whole
-    // region — exactly how the sweep hot loop consumes it.
-    let mut g = c.benchmark_group("kernel_classify");
-    g.throughput(Throughput::Bytes(code.len() as u64));
-    for tier in supported() {
-        g.bench_with_input(BenchmarkId::from_parameter(format!("{tier:?}")), &tier, |b, &t| {
-            b.iter(|| {
-                let mut acc = 0u64;
-                for block in code.chunks(64) {
-                    let cls = classify_block(block, Mode::Bits64, t);
-                    acc ^= cls.pad ^ cls.one;
-                }
-                std::hint::black_box(acc)
-            })
         });
     }
     g.finish();

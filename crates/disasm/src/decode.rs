@@ -141,18 +141,24 @@ fn modrm(cur: &mut Cursor<'_>, addr16: bool) -> Result<u8, DecodeError> {
 /// assert_eq!(insn.kind, InsnKind::Endbr64);
 /// ```
 pub fn decode(code: &[u8], addr: u64, mode: Mode) -> Result<Insn, DecodeError> {
-    if let Some(insn) = decode_fast(code, addr, mode) {
-        return Ok(insn);
+    match decode_fast_slice(code, addr, mode) {
+        Some((len, tag, target)) => Ok(Insn { addr, len, kind: kind_from(tag, target) }),
+        None => decode_full(code, addr, mode),
     }
-    decode_full(code, addr, mode)
 }
 
-/// [`decode_fast_packed`] reassembled into an [`Insn`] — the form
-/// [`decode`] and the differential tests consume.
+/// [`decode_fast_win`] on a slice of any length: the first (up to) 8
+/// bytes of `code`, zero-padded, form the window. Every byte an
+/// accepted result depends on sits inside its length, so the result
+/// stands when that length fits in `code`; otherwise the fast path
+/// declines and [`decode_full`] reports the canonical `Truncated`.
 #[inline]
-pub(crate) fn decode_fast(code: &[u8], addr: u64, mode: Mode) -> Option<Insn> {
-    let (len, tag, target) = decode_fast_packed(code, addr, mode)?;
-    Some(Insn { addr, len, kind: kind_from(tag, target) })
+pub(crate) fn decode_fast_slice(code: &[u8], addr: u64, mode: Mode) -> Option<(u8, u8, u64)> {
+    let mut win = [0u8; 8];
+    let n = code.len().min(8);
+    win[..n].copy_from_slice(&code[..n]);
+    let fast = decode_fast_win(u64::from_le_bytes(win), addr, mode)?;
+    (usize::from(fast.0) <= code.len()).then_some(fast)
 }
 
 /// First-byte dispatch classes for the fast path. Every class is a
@@ -376,209 +382,6 @@ const FAST: [FastClass; 256] = {
     t
 };
 
-/// Bytes that, seen at a dispatch position (never behind a prefix —
-/// prefixes are dispatch positions of their own), decode as complete
-/// one-byte instructions: the block classifier's "one" lane. Derived
-/// from [`FAST`] so the sets can never drift from the dispatch table.
-/// The pad bytes `90`/`CC` are excluded — the run-skipper owns them.
-const fn one_byte_mask(is64: bool) -> [u64; 4] {
-    let mut m = [0u64; 4];
-    let mut b = 0usize;
-    while b < 256 {
-        let one = match FAST[b] {
-            FastClass::One
-            | FastClass::Ret
-            | FastClass::Leave
-            | FastClass::Hlt
-            | FastClass::Push => true,
-            // 40-4F are one-byte inc/dec in 32-bit mode, REX in 64-bit.
-            FastClass::RexOrInc => !is64,
-            _ => false,
-        };
-        if one {
-            m[b >> 6] |= 1u64 << (b & 63);
-        }
-        b += 1;
-    }
-    m
-}
-
-/// One-byte-complete set in 64-bit mode (see [`one_byte_mask`]).
-pub(crate) const ONE_MASK_64: [u64; 4] = one_byte_mask(true);
-/// One-byte-complete set in 32-bit mode.
-pub(crate) const ONE_MASK_32: [u64; 4] = one_byte_mask(false);
-
-/// Kind tag for each byte in the one-byte-complete sets (meaningful
-/// only where the mask bit is set; `TAG_OTHER` elsewhere). The
-/// classifier consumers read tags through [`decode_fast_win`]'s tables;
-/// this byte-indexed view backs the one-byte-set consistency test.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) const ONE_TAG: [u8; 256] = {
-    let mut t = [TAG_OTHER; 256];
-    let mut b = 0usize;
-    while b < 256 {
-        t[b] = match FAST[b] {
-            FastClass::Ret => TAG_RET,
-            FastClass::Leave => TAG_LEAVE,
-            FastClass::Hlt => TAG_HLT,
-            FastClass::Push => TAG_PUSH + (b as u8 - 0x50),
-            _ => TAG_OTHER,
-        };
-        b += 1;
-    }
-    t
-};
-
-/// Length of ModRM + SIB + displacement under 32/64-bit addressing (the
-/// fast path never sees a `67` prefix), or `None` when `code` is too
-/// short — the full decoder then produces the canonical `Truncated`.
-#[inline]
-fn fast_modrm_len(code: &[u8]) -> Option<usize> {
-    let m = *code.first()?;
-    let mode_bits = m >> 6;
-    let rm = m & 7;
-    if mode_bits == 3 {
-        return Some(1);
-    }
-    let mut n = 1usize;
-    let mut disp32_when_mod0 = rm == 5;
-    if rm == 4 {
-        let sib = *code.get(1)?;
-        n += 1;
-        disp32_when_mod0 = sib & 7 == 5;
-    }
-    n += match mode_bits {
-        0 => {
-            if disp32_when_mod0 {
-                4
-            } else {
-                0
-            }
-        }
-        1 => 1,
-        _ => 4,
-    };
-    if code.len() < n {
-        return None;
-    }
-    Some(n)
-}
-
-/// First-byte dispatch fast path, in packed-stream form: `(length, kind
-/// tag, branch target)` — what the sweep hot loop feeds straight into
-/// [`crate::InsnStream`] without round-tripping through an [`Insn`].
-/// The target is meaningful only for the direct-branch tags (0
-/// otherwise).
-///
-/// Returns `None` for anything the table does not cover *and* for
-/// truncated input (an encoding whose tail runs off the buffer), so
-/// the full decoder is the single source of error values — the composed
-/// [`decode`] stays behaviorally identical to the table-driven decoder
-/// alone.
-#[inline]
-pub(crate) fn decode_fast_packed(code: &[u8], addr: u64, mode: Mode) -> Option<(u8, u8, u64)> {
-    let &b0 = code.first()?;
-    match FAST[b0 as usize] {
-        FastClass::RexOrInc => {
-            if !mode.is_64() {
-                // inc/dec reg — a plain one-byte instruction.
-                return Some((1, TAG_OTHER, 0));
-            }
-            // A single REX prefix. REX followed by a legacy prefix is
-            // voided by the full decoder's loop, and a second REX
-            // re-enters it, so both defer; the fast path only ever
-            // applies an *effective* REX.
-            let &b1 = code.get(1)?;
-            let c1 = FAST[b1 as usize];
-            if matches!(c1, FastClass::RexOrInc | FastClass::Pfx) {
-                return None;
-            }
-            fast_body(c1, code.get(2..)?, addr, mode, b1, b0)
-        }
-        FastClass::Pfx => {
-            // One mandatory-prefix-style legacy prefix, an optional REX,
-            // and the 0F map: covers ENDBR (`F3 0F 1E`), the 66-prefixed
-            // long NOPs, and scalar SSE (`F2`/`F3 0F xx`). Anything else
-            // with a prefix defers.
-            let mut i = 1;
-            let mut b = *code.get(i)?;
-            if mode.is_64() && matches!(FAST[b as usize], FastClass::RexOrInc) {
-                i += 1;
-                b = *code.get(i)?;
-                if matches!(FAST[b as usize], FastClass::RexOrInc) {
-                    return None;
-                }
-            }
-            if b != 0x0F {
-                return None;
-            }
-            let &op2 = code.get(i + 1)?;
-            fast_map0f(code.get(i + 2..)?, addr, mode, i + 2, op2, b0 == 0xF3, b0 == 0x66)
-        }
-        c => fast_body(c, code.get(1..)?, addr, mode, b0, 0),
-    }
-}
-
-/// ModRM + SIB + displacement length, table form: total addressing
-/// bytes for a ModRM value, or `NEEDS_SIB` when an SIB byte must be
-/// consulted. Collapses [`fast_modrm_len`]'s branch tree into one load
-/// for the ~90 % of ModRM bytes without an SIB.
-const NEEDS_SIB: u8 = 0xFF;
-
-/// See [`NEEDS_SIB`].
-const MODRM_LEN: [u8; 256] = {
-    let mut t = [0u8; 256];
-    let mut m = 0usize;
-    while m < 256 {
-        let mode_bits = (m >> 6) as u8;
-        let rm = (m & 7) as u8;
-        t[m] = if mode_bits == 3 {
-            1
-        } else if rm == 4 {
-            NEEDS_SIB
-        } else {
-            1 + match mode_bits {
-                0 => {
-                    if rm == 5 {
-                        4
-                    } else {
-                        0
-                    }
-                }
-                1 => 1,
-                _ => 4,
-            }
-        };
-        m += 1;
-    }
-    t
-};
-
-/// [`fast_modrm_len`] on a byte window: `rest`'s low byte is the ModRM
-/// byte, the next byte the (potential) SIB. Never fails — the windowed
-/// fast path only runs where 16 buffer bytes are available, so no
-/// encoding it accepts can be cut short.
-#[inline]
-fn win_modrm_len(rest: u64) -> usize {
-    let v = MODRM_LEN[(rest & 0xFF) as usize];
-    if v != NEEDS_SIB {
-        return v as usize;
-    }
-    let m = rest as u8;
-    let sib = (rest >> 8) as u8;
-    2 + match m >> 6 {
-        0 => {
-            if sib & 7 == 5 {
-                4
-            } else {
-                0
-            }
-        }
-        1 => 1,
-        _ => 4,
-    }
-}
-
 // Flag bits of the [`win_info`] dispatch byte.
 /// The encoding carries a ModRM byte (plus SIB/displacement).
 const WI_MODRM: u8 = 1 << 0;
@@ -687,42 +490,87 @@ const WIN_TAG: [u8; 512] = {
     t
 };
 
-/// [`win_modrm_len`] computed without the SIB branch or the table load:
-/// pure ALU on the (ModRM, SIB) byte pair, identical for every pair
-/// (`decode::tests` checks all 65 536). The table variant's dependent
-/// load sits on the sweep's serial `off += len` chain; this doesn't.
+/// ModRM + SIB + displacement length under 32/64-bit addressing (the
+/// fast path never sees a `67` prefix), table form: total addressing
+/// bytes for a ModRM value, or `NEEDS_SIB` when the SIB byte decides.
+const NEEDS_SIB: u8 = 0xFF;
+
+/// See [`NEEDS_SIB`].
+const MODRM_LEN: [u8; 256] = {
+    let mut t = [0u8; 256];
+    let mut m = 0usize;
+    while m < 256 {
+        let mode_bits = (m >> 6) as u8;
+        let rm = (m & 7) as u8;
+        t[m] = if mode_bits == 3 {
+            1
+        } else if rm == 4 {
+            NEEDS_SIB
+        } else {
+            1 + match mode_bits {
+                0 => {
+                    if rm == 5 {
+                        4
+                    } else {
+                        0
+                    }
+                }
+                1 => 1,
+                _ => 4,
+            }
+        };
+        m += 1;
+    }
+    t
+};
+
+/// Length of ModRM + SIB + displacement: `rest`'s low byte is the ModRM
+/// byte, the next byte the (potential) SIB. One table load for the
+/// ~90 % of ModRM bytes without an SIB; a branch-free ALU form measured
+/// slower on the sweep (EXPERIMENTS.md, "One fast decoder").
+/// `decode::tests` checks all 65 536 pairs against the full decoder.
 #[inline]
-fn win_modrm_len_bl(rest: u64) -> usize {
-    let m = rest as u8 as usize;
-    let md = m >> 6;
-    let rm = m & 7;
-    let sib = usize::from((rm == 4) & (md != 3));
-    let sb = ((rest >> 8) as u8 & 7) as usize;
-    // disp32 under mod=0: rm == 5 directly, or SIB.base == 5 behind SIB.
-    let five = if sib != 0 { sb == 5 } else { rm == 5 };
-    let disp = usize::from(md == 1)
-        + 4 * usize::from(md == 2)
-        + 4 * (usize::from(md == 0) & five as usize);
-    // mod == 3 degenerates to 1 on its own: sib and disp are both 0.
-    1 + sib + disp
+fn win_modrm_len(rest: u64) -> usize {
+    let v = MODRM_LEN[(rest & 0xFF) as usize];
+    if v != NEEDS_SIB {
+        return v as usize;
+    }
+    let m = rest as u8;
+    let sib = (rest >> 8) as u8;
+    2 + match m >> 6 {
+        0 => {
+            if sib & 7 == 5 {
+                4
+            } else {
+                0
+            }
+        }
+        1 => 1,
+        _ => 4,
+    }
 }
 
-/// The first-byte dispatch fast path, flattened onto an 8-byte window.
+/// The first-byte dispatch fast path, flattened onto an 8-byte window:
+/// `(length, kind tag, branch target)`, the form the sweep feeds
+/// straight into [`crate::InsnStream`]. The target is meaningful only
+/// for the direct-branch tags (0 otherwise).
 ///
 /// `win` holds the first 8 instruction bytes little-endian (byte `k` of
-/// the instruction is `win >> (8 * k)`). Agrees exactly with
-/// [`decode_fast_packed`] whenever **16 bytes** remain in the buffer:
-/// every length the table accepts is computed arithmetically (≤ 12),
-/// every *content* read (branch displacements) sits within the first 8
-/// bytes, and 16 available bytes rule out the truncation deferrals —
-/// leaving both functions to decline exactly the same encodings. The
-/// sweep hot loop runs this form (one unaligned load replaces all
-/// per-byte bounds checks) and falls back to the slice form near the
-/// buffer tail; `kernel_differential.rs` pins the equivalence.
+/// the instruction is `win >> (8 * k)`). Contract: the result is `None`
+/// (decline) or, whenever its length fits in the bytes that follow,
+/// the packed form of what [`decode_full`] returns (`decode::tests`
+/// checks it at every truncation length). Every length the table accepts
+/// is computed arithmetically (≤ 12) and every byte the result depends
+/// on — ModRM, SIB, branch displacement — sits inside that length and
+/// within the first 8 bytes. The sweep hot loop runs this form on a
+/// plain unaligned load while 16 buffer bytes remain, so every length
+/// fits; near the buffer tail [`decode_fast_slice`] feeds it a
+/// zero-padded window and checks the length.
 ///
 /// Dispatch is two-level: the [`win_info`] recipe byte resolves the
-/// regular classes with branchless arithmetic (one REX fold, one table
-/// load, ALU), and only the irregular minority — prefixes, the `0F`
+/// regular classes with branch-free arithmetic on the opcode (one REX
+/// fold, the recipe and ModRM-length table loads, ALU), and only the
+/// irregular minority — prefixes, the `0F`
 /// escape, target-bearing branches, grp5, deferrals — falls through to
 /// the match-based [`win_special`].
 #[inline]
@@ -739,7 +587,7 @@ pub(crate) fn decode_fast_win(win: u64, addr: u64, mode: Mode) -> Option<(u8, u8
     }
     let rest = w >> 8;
     let reg = (rest as u8 as usize >> 3) & 7;
-    let mlen = win_modrm_len_bl(rest) & 0usize.wrapping_sub(usize::from(info & WI_MODRM));
+    let mlen = win_modrm_len(rest) & 0usize.wrapping_sub(usize::from(info & WI_MODRM));
     let mut imm = usize::from(info >> WI_IMM_SHIFT) & 7;
     // grp3 (`F6`/`F7`): no immediate unless ModRM.reg selects `test`.
     imm &= 0usize.wrapping_sub(usize::from((info & WI_GRP == 0) | (reg < 2)));
@@ -795,7 +643,9 @@ fn win_special(win: u64, addr: u64, mode: Mode) -> Option<(u8, u8, u64)> {
     }
 }
 
-/// [`fast_body`] on a window: `rest` holds the bytes after the opcode.
+/// Decodes opcode byte `op` (pre-classified as `class`) with `rest`
+/// holding the bytes after it. `rex` is the REX prefix byte (0 when
+/// absent — a present REX is the only prefix byte the body ever sees).
 #[inline]
 fn win_body(
     class: FastClass,
@@ -809,6 +659,7 @@ fn win_body(
     let fin = |len: usize, tag: u8| Some((len as u8, tag, 0u64));
     match class {
         FastClass::No | FastClass::RexOrInc | FastClass::Pfx => None,
+        // REX.B turns 0x90 into `xchg r8, eAX` — no longer a NOP.
         FastClass::Nop => fin(base, if rex & 1 != 0 { TAG_OTHER } else { TAG_NOP }),
         FastClass::One => fin(base, TAG_OTHER),
         FastClass::Ret => fin(base, TAG_RET),
@@ -843,6 +694,7 @@ fn win_body(
         }
         FastClass::Grp3b | FastClass::Grp3z => {
             let m = win_modrm_len(rest);
+            // TEST r/m, imm — F6 takes imm8, F7 immz (4 without 66).
             let imm = if (rest as u8 >> 3) & 7 < 2 {
                 if op == 0xF6 {
                     1
@@ -859,6 +711,7 @@ fn win_body(
             let tag = match (rest as u8 >> 3) & 7 {
                 2 | 3 => TAG_CALL_IND,
                 4 | 5 => TAG_JMP_IND,
+                // FF /7 is undefined — let the full path produce the error.
                 7 => return None,
                 _ => TAG_OTHER,
             };
@@ -867,56 +720,12 @@ fn win_body(
     }
 }
 
-/// [`fast_map0f`] on a window: `rest` holds the bytes after the second
-/// opcode byte `op2`, `base` counts bytes up to and including it.
-#[inline]
-fn win_map0f(
-    rest: u64,
-    addr: u64,
-    mode: Mode,
-    base: usize,
-    op2: u8,
-    rep: bool,
-    opsize: bool,
-) -> Option<(u8, u8, u64)> {
-    if (0x80..=0x8F).contains(&op2) {
-        if opsize {
-            return None;
-        }
-        let disp = rest as u32 as i32 as i64;
-        let len = base + 4;
-        let target = mode.mask_addr(addr.wrapping_add(len as u64).wrapping_add(disp as u64));
-        return Some((len as u8, TAG_JCC, target));
-    }
-    if op2 == 0x1E || op2 == 0x1F {
-        let m = rest as u8;
-        let len = base + win_modrm_len(rest);
-        let tag = match (op2, rep, m) {
-            (0x1E, true, 0xFA) => TAG_ENDBR64,
-            (0x1E, true, 0xFB) => TAG_ENDBR32,
-            _ => TAG_NOP,
-        };
-        return Some((len as u8, tag, 0));
-    }
-    if (0x20..=0x26).contains(&op2) {
-        return None;
-    }
-    let a = TWO_BYTE[op2 as usize];
-    if a == M {
-        Some(((base + win_modrm_len(rest)) as u8, TAG_OTHER, 0))
-    } else if a == M | I8 {
-        Some(((base + win_modrm_len(rest) + 1) as u8, TAG_OTHER, 0))
-    } else {
-        None
-    }
-}
-
-/// Fast decode in the two-byte (`0F`) map. `rest` holds everything after
+/// Fast decode in the two-byte (`0F`) map. `rest` holds the bytes after
 /// the second opcode byte `op2`; `base` counts the bytes up to and
 /// including it. `rep`/`opsize` reflect an `F3`/`66` prefix.
 #[inline]
-fn fast_map0f(
-    rest: &[u8],
+fn win_map0f(
+    rest: u64,
     addr: u64,
     mode: Mode,
     base: usize,
@@ -930,8 +739,7 @@ fn fast_map0f(
         if opsize {
             return None;
         }
-        let d = rest.get(..4)?;
-        let disp = i64::from(i32::from_le_bytes([d[0], d[1], d[2], d[3]]));
+        let disp = rest as u32 as i32 as i64;
         let len = base + 4;
         let target = mode.mask_addr(addr.wrapping_add(len as u64).wrapping_add(disp as u64));
         return Some((len as u8, TAG_JCC, target));
@@ -939,8 +747,8 @@ fn fast_map0f(
     if op2 == 0x1E || op2 == 0x1F {
         // The hint-NOP space: multi-byte alignment NOPs, and ENDBR when
         // 0F 1E carries an F3 prefix and a register-form ModRM.
-        let m = *rest.first()?;
-        let len = base + fast_modrm_len(rest)?;
+        let m = rest as u8;
+        let len = base + win_modrm_len(rest);
         let tag = match (op2, rep, m) {
             (0x1E, true, 0xFA) => TAG_ENDBR64,
             (0x1E, true, 0xFB) => TAG_ENDBR32,
@@ -955,129 +763,11 @@ fn fast_map0f(
     }
     let a = TWO_BYTE[op2 as usize];
     if a == M {
-        Some(((base + fast_modrm_len(rest)?) as u8, TAG_OTHER, 0))
+        Some(((base + win_modrm_len(rest)) as u8, TAG_OTHER, 0))
     } else if a == M | I8 {
-        let m = fast_modrm_len(rest)?;
-        if rest.len() < m + 1 {
-            return None;
-        }
-        Some(((base + m + 1) as u8, TAG_OTHER, 0))
+        Some(((base + win_modrm_len(rest) + 1) as u8, TAG_OTHER, 0))
     } else {
         None
-    }
-}
-
-/// Decodes opcode byte `op` (pre-classified as `class`) with `rest`
-/// holding everything after it. `rex` is the REX prefix byte (0 when
-/// absent — a present REX is the only prefix byte the body ever sees).
-#[inline]
-fn fast_body(
-    class: FastClass,
-    rest: &[u8],
-    addr: u64,
-    mode: Mode,
-    op: u8,
-    rex: u8,
-) -> Option<(u8, u8, u64)> {
-    let base = 1 + usize::from(rex != 0);
-    let fin = |len: usize, tag: u8| Some((len as u8, tag, 0u64));
-    match class {
-        FastClass::No | FastClass::RexOrInc | FastClass::Pfx => None,
-        // REX.B turns 0x90 into `xchg r8, eAX` — no longer a NOP.
-        FastClass::Nop => fin(base, if rex & 1 != 0 { TAG_OTHER } else { TAG_NOP }),
-        FastClass::One => fin(base, TAG_OTHER),
-        FastClass::Ret => fin(base, TAG_RET),
-        FastClass::RetImm16 => {
-            if rest.len() < 2 {
-                return None;
-            }
-            fin(base + 2, TAG_RET)
-        }
-        FastClass::Leave => fin(base, TAG_LEAVE),
-        FastClass::Int3 => fin(base, TAG_INT3),
-        FastClass::Hlt => fin(base, TAG_HLT),
-        FastClass::Push => fin(base, TAG_PUSH + (op - 0x50) + ((rex & 1) << 3)),
-        FastClass::Jcc8 | FastClass::JmpRel8 => {
-            let disp = *rest.first()? as i8 as i64;
-            let len = base + 1;
-            let target = mode.mask_addr(addr.wrapping_add(len as u64).wrapping_add(disp as u64));
-            let tag = if op == 0xEB { TAG_JMP_REL } else { TAG_JCC };
-            Some((len as u8, tag, target))
-        }
-        FastClass::CallRel32 | FastClass::JmpRel32 => {
-            let d = rest.get(..4)?;
-            let disp = i64::from(i32::from_le_bytes([d[0], d[1], d[2], d[3]]));
-            let len = base + 4;
-            let target = mode.mask_addr(addr.wrapping_add(len as u64).wrapping_add(disp as u64));
-            let tag = if op == 0xE8 { TAG_CALL_REL } else { TAG_JMP_REL };
-            Some((len as u8, tag, target))
-        }
-        FastClass::Imm8 => {
-            if rest.is_empty() {
-                return None;
-            }
-            fin(base + 1, TAG_OTHER)
-        }
-        FastClass::ImmZ => {
-            if rest.len() < 4 {
-                return None;
-            }
-            fin(base + 4, TAG_OTHER)
-        }
-        FastClass::MovImmV => {
-            let n = if rex & 8 != 0 { 8 } else { 4 };
-            if rest.len() < n {
-                return None;
-            }
-            fin(base + n, TAG_OTHER)
-        }
-        FastClass::Rm => fin(base + fast_modrm_len(rest)?, TAG_OTHER),
-        FastClass::RmImm8 => {
-            let m = fast_modrm_len(rest)?;
-            if rest.len() < m + 1 {
-                return None;
-            }
-            fin(base + m + 1, TAG_OTHER)
-        }
-        FastClass::RmImmZ => {
-            let m = fast_modrm_len(rest)?;
-            if rest.len() < m + 4 {
-                return None;
-            }
-            fin(base + m + 4, TAG_OTHER)
-        }
-        FastClass::Esc0F => {
-            let &op2 = rest.first()?;
-            fast_map0f(&rest[1..], addr, mode, base + 1, op2, false, false)
-        }
-        FastClass::Grp3b | FastClass::Grp3z => {
-            let m = fast_modrm_len(rest)?;
-            // TEST r/m, imm — F6 takes imm8, F7 immz (4 without 66).
-            let imm = if (*rest.first()? >> 3) & 7 < 2 {
-                if op == 0xF6 {
-                    1
-                } else {
-                    4
-                }
-            } else {
-                0
-            };
-            if rest.len() < m + imm {
-                return None;
-            }
-            fin(base + m + imm, TAG_OTHER)
-        }
-        FastClass::Grp5 => {
-            let m = fast_modrm_len(rest)?;
-            let tag = match (*rest.first()? >> 3) & 7 {
-                2 | 3 => TAG_CALL_IND,
-                4 | 5 => TAG_JMP_IND,
-                // FF /7 is undefined — let the full path produce the error.
-                7 => return None,
-                _ => TAG_OTHER,
-            };
-            fin(base + m, tag)
-        }
     }
 }
 
@@ -1582,13 +1272,28 @@ mod tests {
         assert_eq!(decode(&[0xff, 0xf8], 0, Mode::Bits64), Err(DecodeError::BadOpcode));
     }
 
+    /// `decode` is the slice fast path, else the full decoder, so where
+    /// it equals `decode_full` the fast path either declined or agreed.
+    /// Checked on every cut `code[..n]`, `n` in `0..=code.len()`, so the
+    /// zero-padded window and the length guard meet every truncation. An
+    /// uncut buffer of 16 bytes hands `decode_fast_win` exactly the
+    /// window the sweep hot loop loads there.
+    fn assert_fast_path_sound(code: &[u8], addr: u64, mode: Mode) {
+        for n in 0..=code.len() {
+            let cut = &code[..n];
+            assert_eq!(
+                decode(cut, addr, mode),
+                decode_full(cut, addr, mode),
+                "bytes {cut:x?} addr {addr:#x} {mode:?}"
+            );
+        }
+    }
+
     #[test]
     fn fast_path_agrees_with_full_decoder() {
-        // Differential check: wherever the dispatch table fires, the fast
-        // result must equal the full decoder's, for every first byte, a
-        // spread of displacement tails, truncated buffers, and both modes.
-        let tails: [&[u8]; 6] = [
-            &[],
+        // Every first byte over a spread of displacement tails and
+        // addresses, including one where the target wraps.
+        let tails: [&[u8]; 5] = [
             &[0x00],
             &[0x7f, 0x80, 0x01, 0xff],
             &[0xff, 0xff, 0xff, 0xff],
@@ -1601,13 +1306,7 @@ mod tests {
                     let mut code = vec![b0];
                     code.extend_from_slice(tail);
                     for addr in [0u64, 0x40_1000, u64::MAX - 2] {
-                        if let Some(fast) = super::decode_fast(&code, addr, mode) {
-                            assert_eq!(
-                                Ok(fast),
-                                super::decode_full(&code, addr, mode),
-                                "byte {b0:#04x} tail {tail:x?} addr {addr:#x} {mode:?}"
-                            );
-                        }
+                        assert_fast_path_sound(&code, addr, mode);
                     }
                 }
             }
@@ -1616,17 +1315,20 @@ mod tests {
 
     #[test]
     fn fast_path_agrees_with_full_decoder_exhaustive_two_bytes() {
-        // Every (first byte, second byte) pair — covering REX+opcode,
-        // opcode+ModRM, and the 0F map exhaustively — with tails that
-        // exercise every ModRM addressing form (register, disp8, disp32,
-        // SIB, SIB+disp32) and truncation at various depths.
-        let tails: [&[u8]; 6] = [
-            &[],
+        // Every (first byte, second byte) pair — REX + opcode, opcode +
+        // ModRM, every prefix + opcode and the whole 0F map — over tails
+        // that exercise every ModRM addressing form (register, disp8,
+        // disp32, SIB, SIB + disp32) and the bytes the window reads.
+        let tails: [&[u8]; 9] = [
             &[0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09],
             &[0xC0, 0xff, 0xff, 0xff, 0xff, 0x90, 0x90, 0x90, 0x90, 0x90],
             &[0x04, 0x25, 1, 2, 3, 4, 5, 6, 7, 8],
             &[0x85, 1, 2, 3, 4, 9, 9, 9, 9, 9],
-            &[0x05, 1, 2], // disp32 form, truncated
+            &[0x05, 1, 2],
+            &[0x00; 14],
+            &[0xFF; 14],
+            &[0x05, 0x44, 0x24, 0x08, 0x12, 0x34, 0x56, 0x78, 0x9A, 0xBC, 0xDE, 0xF0, 0x11, 0x22],
+            &[0x84, 0xC0, 0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08],
         ];
         for mode in [Mode::Bits64, Mode::Bits32] {
             for b0 in 0u8..=255 {
@@ -1634,13 +1336,7 @@ mod tests {
                     for tail in tails {
                         let mut code = vec![b0, b1];
                         code.extend_from_slice(tail);
-                        if let Some(fast) = super::decode_fast(&code, 0x40_1000, mode) {
-                            assert_eq!(
-                                Ok(fast),
-                                super::decode_full(&code, 0x40_1000, mode),
-                                "bytes {b0:#04x} {b1:#04x} tail {tail:x?} {mode:?}"
-                            );
-                        }
+                        assert_fast_path_sound(&code, 0x40_1000, mode);
                     }
                 }
             }
@@ -1678,13 +1374,7 @@ mod tests {
                         let mut code = head.to_vec();
                         code.push(op2);
                         code.extend_from_slice(tail);
-                        if let Some(fast) = super::decode_fast(&code, 0x40_1000, mode) {
-                            assert_eq!(
-                                Ok(fast),
-                                super::decode_full(&code, 0x40_1000, mode),
-                                "head {head:x?} op2 {op2:#04x} tail {tail:x?} {mode:?}"
-                            );
-                        }
+                        assert_fast_path_sound(&code, 0x40_1000, mode);
                     }
                 }
             }
@@ -1692,55 +1382,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_declines_truncated_branches() {
-        // A rel32 call with only 3 displacement bytes must fall through to
-        // the full decoder (which reports Truncated), not mis-decode.
-        assert_eq!(super::decode_fast(&[0xe8, 1, 2, 3], 0, Mode::Bits64), None);
-        assert_eq!(decode(&[0xe8, 1, 2, 3], 0, Mode::Bits64), Err(DecodeError::Truncated));
-        assert_eq!(super::decode_fast(&[0x74], 0, Mode::Bits64), None);
-        assert_eq!(super::decode_fast(&[], 0, Mode::Bits64), None);
-    }
-
-    /// Drives `decode_fast_win` on the first 8 bytes of `code`
-    /// (which must hold at least 16).
-    fn fast_win(code: &[u8], addr: u64, mode: Mode) -> Option<(u8, u8, u64)> {
-        assert!(code.len() >= 16);
-        let win = u64::from_le_bytes(code[..8].try_into().unwrap());
-        super::decode_fast_win(win, addr, mode)
-    }
-
-    #[test]
-    fn windowed_fast_path_matches_packed_exhaustively() {
-        // The windowed decoder's contract: with >= 16 buffer bytes it is
-        // decode_fast_packed exactly. Exhaust all 2-byte heads (every
-        // opcode, every prefix/REX + opcode, every 0F + op2 combination
-        // falls inside this space) over tails that vary the ModRM/SIB/
-        // displacement bytes the length computation can consume.
-        let tails: [&[u8]; 4] = [
-            &[0x00; 14],
-            &[0xFF; 14],
-            &[0x05, 0x44, 0x24, 0x08, 0x12, 0x34, 0x56, 0x78, 0x9A, 0xBC, 0xDE, 0xF0, 0x11, 0x22],
-            &[0x84, 0xC0, 0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08],
-        ];
-        for mode in [Mode::Bits64, Mode::Bits32] {
-            for b0 in 0u8..=255 {
-                for b1 in 0u8..=255 {
-                    for tail in tails {
-                        let mut code = vec![b0, b1];
-                        code.extend_from_slice(tail);
-                        assert_eq!(
-                            fast_win(&code, 0x40_1000, mode),
-                            super::decode_fast_packed(&code, 0x40_1000, mode),
-                            "bytes {b0:#04x} {b1:#04x} tail {tail:x?} {mode:?}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn windowed_fast_path_matches_packed_on_deep_prefix_chains() {
+    fn fast_path_agrees_on_deep_prefix_chains() {
         // Three- and four-byte heads (prefix + REX + 0F + op2) reach the
         // deepest shifts of the window walker.
         let heads: [&[u8]; 6] = [
@@ -1759,48 +1401,49 @@ mod tests {
                     let mut code = head.to_vec();
                     code.push(op);
                     code.extend_from_slice(&tail);
-                    assert_eq!(
-                        fast_win(&code, 0x40_1000, mode),
-                        super::decode_fast_packed(&code, 0x40_1000, mode),
-                        "head {head:x?} op {op:#04x} {mode:?}"
-                    );
+                    assert_fast_path_sound(&code, 0x40_1000, mode);
                 }
             }
         }
     }
 
     #[test]
-    fn branchless_modrm_length_matches_table_for_every_pair() {
-        // The ALU form must agree with the table/branch form on all
-        // 65 536 (ModRM, SIB) byte pairs — including the mod=0 rm=4
-        // SIB.base=5 disp32 corner the four exhaustive-head tails miss.
-        for m in 0u64..256 {
-            for s in 0u64..256 {
-                let rest = m | (s << 8);
-                assert_eq!(
-                    super::win_modrm_len_bl(rest),
-                    super::win_modrm_len(rest),
-                    "modrm {m:#04x} sib {s:#04x}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn windowed_fast_path_matches_packed_under_rex_with_every_modrm() {
-        // The 2-byte-head exhaustive test varies the post-REX ModRM byte
-        // over only four tails; the branchless REX fold deserves the
-        // full 256. REX values cover W/B set and clear.
+    fn fast_path_agrees_under_rex_with_every_modrm() {
+        // The two-byte heads vary the post-REX ModRM byte over only a
+        // few tails; the branchless REX fold deserves the full 256. REX
+        // values cover W/B set and clear.
         let tail = [0x44u8, 0x24, 0x08, 0x12, 0x34, 0x56, 0x78, 0x9A, 0xBC, 0xDE, 0xF0, 0x11, 0x22];
         for rex in [0x40u8, 0x41, 0x44, 0x48, 0x4F] {
             for op in 0u8..=255 {
                 for modrm in 0u8..=255 {
                     let mut code = vec![rex, op, modrm];
                     code.extend_from_slice(&tail);
+                    assert_fast_path_sound(&code, 0x40_1000, Mode::Bits64);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn modrm_length_agrees_with_full_decoder_for_every_pair() {
+        // All 65 536 (ModRM, SIB) byte pairs behind `mov r, r/m` — which
+        // the fast path always accepts — including the mod=0 rm=4
+        // SIB.base=5 disp32 corner the exhaustive-head tails miss.
+        let heads: [(&[u8], Mode); 3] =
+            [(&[0x8B], Mode::Bits64), (&[0x48, 0x8B], Mode::Bits64), (&[0x8B], Mode::Bits32)];
+        for (head, mode) in heads {
+            for m in 0u8..=255 {
+                for sib in 0u8..=255 {
+                    let mut code = head.to_vec();
+                    code.extend_from_slice(&[m, sib, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66]);
+                    code.resize(16, 0x90);
+                    let (len, tag, target) = decode_fast_slice(&code, 0x40_1000, mode)
+                        .unwrap_or_else(|| panic!("{code:x?} {mode:?} left the fast path"));
+                    let fast = Insn { addr: 0x40_1000, len, kind: kind_from(tag, target) };
                     assert_eq!(
-                        fast_win(&code, 0x40_1000, Mode::Bits64),
-                        super::decode_fast_packed(&code, 0x40_1000, Mode::Bits64),
-                        "rex {rex:#04x} op {op:#04x} modrm {modrm:#04x}"
+                        Ok(fast),
+                        decode_full(&code, 0x40_1000, mode),
+                        "modrm {m:#04x} sib {sib:#04x} {code:x?} {mode:?}"
                     );
                 }
             }
@@ -1808,31 +1451,12 @@ mod tests {
     }
 
     #[test]
-    fn one_byte_mask_and_tags_agree_with_fast_dispatch() {
-        // The kernel classifier's "one" lane must mark exactly the bytes
-        // the dispatch fast path completes in one byte with a fixed tag
-        // and no target — independent of the following bytes. Pad bytes
-        // (90/CC) are deliberately excluded (the run-skipper owns them).
-        for mode in [Mode::Bits64, Mode::Bits32] {
-            let mask = if mode.is_64() { &super::ONE_MASK_64 } else { &super::ONE_MASK_32 };
-            for b in 0u8..=255 {
-                let in_mask = mask[(b >> 6) as usize] >> (b & 63) & 1 != 0;
-                for filler in [0x00u8, 0x90, 0xC3, 0xFF] {
-                    let mut code = [filler; 16];
-                    code[0] = b;
-                    let fast = super::decode_fast_packed(&code, 0x1000, mode);
-                    if in_mask {
-                        assert_eq!(
-                            fast,
-                            Some((1, super::ONE_TAG[b as usize], 0)),
-                            "byte {b:#04x} filler {filler:#04x} {mode:?}"
-                        );
-                    }
-                }
-                if b == 0x90 || b == 0xCC {
-                    assert!(!in_mask, "pad byte {b:#04x} must stay out of the one-byte mask");
-                }
-            }
-        }
+    fn fast_path_declines_truncated_branches() {
+        // A rel32 call with only 3 displacement bytes must fall through to
+        // the full decoder (which reports Truncated), not mis-decode.
+        assert_eq!(decode_fast_slice(&[0xe8, 1, 2, 3], 0, Mode::Bits64), None);
+        assert_eq!(decode(&[0xe8, 1, 2, 3], 0, Mode::Bits64), Err(DecodeError::Truncated));
+        assert_eq!(decode_fast_slice(&[0x74], 0, Mode::Bits64), None);
+        assert_eq!(decode_fast_slice(&[], 0, Mode::Bits64), None);
     }
 }

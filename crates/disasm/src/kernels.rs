@@ -1,13 +1,11 @@
 //! Vectorized sweep kernels with runtime tier dispatch.
 //!
-//! The three dominant scans of the sweep pipeline — ENDBR needle search,
-//! padding-run skipping, and bulk first-byte classification — in four
+//! The two byte scans of the sweep pipeline outside the decoder — the
+//! ENDBR needle search and padding-run skipping — in four
 //! implementations selected at runtime:
 //!
-//! * **AVX2** (`core::arch::x86_64`, 32-byte compares, `pshufb`
-//!   nibble-table set membership for the classifier),
-//! * **SSE2** (16-byte compares; the classifier's "one" lane falls back
-//!   to the table loop — SSE2 has no byte shuffle),
+//! * **AVX2** (`core::arch::x86_64`, 32-byte compares),
+//! * **SSE2** (16-byte compares),
 //! * **SWAR** (portable `u64` tricks: XOR + trailing-zeros mismatch
 //!   scan, bit-folded equality masks),
 //! * **Scalar** (the byte-at-a-time reference every other tier is
@@ -26,9 +24,6 @@
 #![allow(unsafe_code)]
 
 use std::sync::atomic::{AtomicU8, Ordering};
-
-use crate::decode::{ONE_MASK_32, ONE_MASK_64};
-use crate::mode::Mode;
 
 /// Kernel implementation tier, in decreasing capability order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -110,18 +105,6 @@ impl KernelTier {
     }
 }
 
-/// Per-64-byte-block first-byte classification bitmaps (bit `k` =
-/// block byte `k`; bits at or past the block length are zero).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BlockClass {
-    /// Pad bytes (`90` NOP / `CC` INT3) — the run-skipper's lane.
-    pub pad: u64,
-    /// One-byte-complete instructions (ret/leave/hlt/push r/…): the
-    /// sweep pushes these straight from the precomputed tag table
-    /// without entering the decoder.
-    pub one: u64,
-}
-
 /// All offsets in `code` where an ENDBR encoding (`F3 0F 1E FA` /
 /// `F3 0F 1E FB`) begins — the whole-region needle scan that feeds
 /// FILTERENDBR's candidate set before the sweep runs.
@@ -151,23 +134,6 @@ pub fn pad_run_end(code: &[u8], start: usize, hi: usize, byte: u8, tier: KernelT
         KernelTier::Sse2 => sse2::pad_run_end(code, start, hi, byte),
         KernelTier::Scalar => scalar::pad_run_end(code, start, hi, byte),
         _ => swar::pad_run_end(code, start, hi, byte),
-    }
-}
-
-/// Classifies one block of at most 64 bytes (see [`BlockClass`]). The
-/// "one" set is mode-dependent (`40`–`4F` are instructions in 32-bit
-/// mode, REX prefixes in 64-bit).
-pub fn classify_block(block: &[u8], mode: Mode, tier: KernelTier) -> BlockClass {
-    debug_assert!(block.len() <= 64);
-    let mask = if mode.is_64() { &ONE_MASK_64 } else { &ONE_MASK_32 };
-    match tier {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `find_endbr` — the tier implies CPU support.
-        KernelTier::Avx2 => unsafe { avx2::classify_block(block, mode.is_64()) },
-        #[cfg(target_arch = "x86_64")]
-        KernelTier::Sse2 => sse2::classify_block(block, mask),
-        KernelTier::Scalar => scalar::classify_block(block, mask),
-        _ => swar::classify_block(block, mask),
     }
 }
 
@@ -202,19 +168,6 @@ mod scalar {
         }
         i
     }
-
-    pub(super) fn classify_block(block: &[u8], one_mask: &[u64; 4]) -> super::BlockClass {
-        let mut cls = super::BlockClass::default();
-        for (k, &b) in block.iter().enumerate() {
-            if b == 0x90 || b == 0xCC {
-                cls.pad |= 1 << k;
-            }
-            if one_mask[(b >> 6) as usize] >> (b & 63) & 1 != 0 {
-                cls.one |= 1 << k;
-            }
-        }
-        cls
-    }
 }
 
 /// Portable 8-byte SWAR kernels.
@@ -234,13 +187,6 @@ mod swar {
         y |= y >> 2;
         y |= y >> 1;
         !y & splat(0x01)
-    }
-
-    /// Collapses byte LSBs (each byte 0 or 1) to 8 packed bits, byte 0
-    /// at bit 0.
-    #[inline]
-    fn collapse_lsbs(m: u64) -> u64 {
-        m.wrapping_mul(0x0102_0408_1020_4080) >> 56
     }
 
     #[inline]
@@ -285,30 +231,6 @@ mod swar {
             i += 1;
         }
         i
-    }
-
-    pub(super) fn classify_block(block: &[u8], one_mask: &[u64; 4]) -> super::BlockClass {
-        let mut cls = super::BlockClass::default();
-        let mut k = 0usize;
-        while k + 8 <= block.len() {
-            let w = load_le(block, k);
-            let pads = zero_byte_lsbs(w ^ splat(0x90)) | zero_byte_lsbs(w ^ splat(0xCC));
-            cls.pad |= collapse_lsbs(pads) << k;
-            k += 8;
-        }
-        for (k, &b) in block.iter().enumerate().skip(k) {
-            if b == 0x90 || b == 0xCC {
-                cls.pad |= 1 << k;
-            }
-        }
-        // Arbitrary 256-set membership needs a shuffle unit; the
-        // portable tier keeps the table loop for the "one" lane.
-        for (k, &b) in block.iter().enumerate() {
-            if one_mask[(b >> 6) as usize] >> (b & 63) & 1 != 0 {
-                cls.one |= 1 << k;
-            }
-        }
-        cls
     }
 }
 
@@ -378,29 +300,6 @@ mod sse2 {
         }
         i
     }
-
-    pub(super) fn classify_block(block: &[u8], one_mask: &[u64; 4]) -> super::BlockClass {
-        let mut cls = super::BlockClass::default();
-        let (nop, int3) = (splat(0x90), splat(0xCC));
-        let mut k = 0usize;
-        while k + 16 <= block.len() {
-            let pads = eq_mask16(block, k, nop) | eq_mask16(block, k, int3);
-            cls.pad |= u64::from(pads) << k;
-            k += 16;
-        }
-        for (k, &b) in block.iter().enumerate().skip(k) {
-            if b == 0x90 || b == 0xCC {
-                cls.pad |= 1 << k;
-            }
-        }
-        // No pshufb below SSSE3: the "one" lane keeps the table loop.
-        for (k, &b) in block.iter().enumerate() {
-            if one_mask[(b >> 6) as usize] >> (b & 63) & 1 != 0 {
-                cls.one |= 1 << k;
-            }
-        }
-        cls
-    }
 }
 
 /// 32-byte AVX2 kernels. Every function is `target_feature(avx2)` —
@@ -410,69 +309,6 @@ mod avx2 {
     use core::arch::x86_64::*;
 
     use super::endbr_at;
-    use crate::decode::{ONE_MASK_32, ONE_MASK_64};
-
-    /// `pshufb` nibble LUT pair for an arbitrary 256-bit set: `ta[l]`
-    /// holds membership bits of bytes `(h << 4) | l` for high nibbles
-    /// 0–7, `tb[l]` for 8–15; both duplicated across the two 128-bit
-    /// lanes (`vpshufb` shuffles within lanes).
-    const fn nibble_luts(mask: [u64; 4]) -> ([u8; 32], [u8; 32]) {
-        let mut ta = [0u8; 32];
-        let mut tb = [0u8; 32];
-        let mut l = 0usize;
-        while l < 16 {
-            let mut h = 0usize;
-            while h < 8 {
-                let b = (h << 4) | l;
-                if mask[b >> 6] >> (b & 63) & 1 != 0 {
-                    ta[l] |= 1 << h;
-                }
-                let b = ((h + 8) << 4) | l;
-                if mask[b >> 6] >> (b & 63) & 1 != 0 {
-                    tb[l] |= 1 << h;
-                }
-                h += 1;
-            }
-            ta[l + 16] = ta[l];
-            tb[l + 16] = tb[l];
-            l += 1;
-        }
-        (ta, tb)
-    }
-
-    const LUT64: ([u8; 32], [u8; 32]) = nibble_luts(ONE_MASK_64);
-    const LUT32: ([u8; 32], [u8; 32]) = nibble_luts(ONE_MASK_32);
-    /// `1 << (h & 7)` selector bytes, lane-duplicated.
-    const POW2: [u8; 32] = {
-        let mut p = [0u8; 32];
-        let mut i = 0usize;
-        while i < 32 {
-            p[i] = 1 << (i & 7);
-            i += 1;
-        }
-        p
-    };
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn load(bytes: &[u8; 32]) -> __m256i {
-        _mm256_loadu_si256(bytes.as_ptr().cast())
-    }
-
-    /// 32-bit membership mask of 32 bytes in the LUT-encoded set.
-    #[target_feature(enable = "avx2")]
-    unsafe fn member_mask32(v: __m256i, ta: __m256i, tb: __m256i, pow2: __m256i) -> u32 {
-        let lo = _mm256_and_si256(v, _mm256_set1_epi8(0x0F));
-        let hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), _mm256_set1_epi8(0x0F));
-        let rows_lo = _mm256_shuffle_epi8(ta, lo);
-        let rows_hi = _mm256_shuffle_epi8(tb, lo);
-        let sel = _mm256_shuffle_epi8(pow2, _mm256_and_si256(hi, _mm256_set1_epi8(7)));
-        let is_lo = _mm256_cmpgt_epi8(_mm256_set1_epi8(8), hi);
-        let rows =
-            _mm256_or_si256(_mm256_and_si256(rows_lo, is_lo), _mm256_andnot_si256(is_lo, rows_hi));
-        let hit = _mm256_cmpeq_epi8(_mm256_and_si256(rows, sel), sel);
-        _mm256_movemask_epi8(hit) as u32
-    }
-
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn find_endbr(code: &[u8]) -> Vec<u32> {
         let mut out = Vec::new();
@@ -517,43 +353,6 @@ mod avx2 {
             i += 1;
         }
         i
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn classify_block(block: &[u8], is64: bool) -> super::BlockClass {
-        let (ta, tb) = if is64 { &LUT64 } else { &LUT32 };
-        let (ta, tb, pow2) = (load(ta), load(tb), load(&POW2));
-        let nop = _mm256_set1_epi8(0x90u8 as i8);
-        let int3 = _mm256_set1_epi8(0xCCu8 as i8);
-        if block.len() == 64 {
-            // SAFETY: exactly 64 readable bytes.
-            let v0 = _mm256_loadu_si256(block.as_ptr().cast());
-            let v1 = _mm256_loadu_si256(block.as_ptr().add(32).cast());
-            let pad = |v: __m256i| {
-                let eq = _mm256_or_si256(_mm256_cmpeq_epi8(v, nop), _mm256_cmpeq_epi8(v, int3));
-                _mm256_movemask_epi8(eq) as u32
-            };
-            return super::BlockClass {
-                pad: u64::from(pad(v0)) | u64::from(pad(v1)) << 32,
-                one: u64::from(member_mask32(v0, ta, tb, pow2))
-                    | u64::from(member_mask32(v1, ta, tb, pow2)) << 32,
-            };
-        }
-        // Partial tail block: classify a zero-padded copy. 0x00 is in
-        // neither set, so the padding contributes no bits.
-        let mut buf = [0u8; 64];
-        buf[..block.len()].copy_from_slice(block);
-        let v0 = _mm256_loadu_si256(buf.as_ptr().cast());
-        let v1 = _mm256_loadu_si256(buf.as_ptr().add(32).cast());
-        let pad = |v: __m256i| {
-            let eq = _mm256_or_si256(_mm256_cmpeq_epi8(v, nop), _mm256_cmpeq_epi8(v, int3));
-            _mm256_movemask_epi8(eq) as u32
-        };
-        super::BlockClass {
-            pad: u64::from(pad(v0)) | u64::from(pad(v1)) << 32,
-            one: u64::from(member_mask32(v0, ta, tb, pow2))
-                | u64::from(member_mask32(v1, ta, tb, pow2)) << 32,
-        }
     }
 }
 
@@ -620,39 +419,6 @@ mod tests {
                             want,
                             "{tier:?} start={start} hi={hi} byte={byte:#x}"
                         );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn classify_block_tiers_agree_on_all_bytes_and_lengths() {
-        // Every byte value in every block position, plus random blocks,
-        // at every partial-block length.
-        let all: Vec<u8> = (0u8..=255).collect();
-        let mut x = 0xabcdu64;
-        let rand: Vec<u8> = (0..256).map(|_| xorshift(&mut x) as u8).collect();
-        for mode in [Mode::Bits64, Mode::Bits32] {
-            for src in [&all, &rand] {
-                for start in (0..=192).step_by(16) {
-                    for len in [0usize, 1, 7, 8, 15, 16, 31, 32, 33, 63, 64] {
-                        let block = &src[start..start + len];
-                        let want = {
-                            let mask = if mode.is_64() {
-                                &super::ONE_MASK_64
-                            } else {
-                                &super::ONE_MASK_32
-                            };
-                            scalar::classify_block(block, mask)
-                        };
-                        for tier in supported_tiers() {
-                            assert_eq!(
-                                classify_block(block, mode, tier),
-                                want,
-                                "{tier:?} {mode:?} start={start} len={len}"
-                            );
-                        }
                     }
                 }
             }

@@ -40,8 +40,9 @@
 //!   load — the same load serves the pad check, so the serial
 //!   `off -> bytes -> len -> off` chain carries exactly one load per
 //!   instruction — valid whenever 16 lookahead bytes exist; a careful
-//!   byte-at-a-time tail loop (the previous hot loop) finishes the last
-//!   bytes bit-identically;
+//!   byte-at-a-time tail loop finishes the last bytes with the same
+//!   decoder on a zero-padded window (`decode_fast_slice`, the path
+//!   [`crate::decode`] takes);
 //! * **batched emission**: decoded instructions accumulate in a
 //!   64-slot column scratch (offsets, lengths, tags — mirroring the
 //!   stream's own layout, plus a bitmap of the branch slots) and flush
@@ -49,12 +50,6 @@
 //!   `InsnStream::push_packed` as three memcpy-backed extends plus one
 //!   bitmap word append; the evidence sink picks its slots out of the
 //!   tag column.
-//!
-//! (The per-block first-byte classifier [`kernels::classify_block`]
-//! stays a standalone kernel: feeding its lanes through this loop was
-//! measured ~25% *slower* than the windowed decode path it would
-//! bypass — the per-instruction lane bookkeeping cost more than the
-//! dispatch it saved.)
 //!
 //! The stream sink's results land in a packed [`InsnStream`] (6 bytes
 //! per instruction) instead of a `Vec<Insn>` (32); the evidence sink
@@ -66,7 +61,7 @@
 
 use std::time::Instant;
 
-use crate::decode::{decode, decode_fast_packed, decode_fast_win, decode_full};
+use crate::decode::{decode, decode_fast_slice, decode_fast_win, decode_full};
 use crate::evidence::{EvidenceSink, SweepEvidence};
 use crate::insn::{Insn, InsnKind};
 use crate::kernels::{self, KernelTier};
@@ -247,19 +242,19 @@ impl Sink for BothSink {
 }
 
 /// Shared inner loop of the sequential sweep and of each speculative
-/// shard: kernel-classified hot loop while 16 lookahead bytes exist,
-/// then the careful byte-at-a-time loop for the tail. Returns the exit
+/// shard: the windowed hot loop while 16 lookahead bytes exist, then
+/// the careful byte-at-a-time loop for the tail. Returns the exit
 /// offset (first chain offset at or past `hi`). Generic over the sink,
 /// so the stream and the evidence sweeps run one decoder loop.
 ///
 /// Equivalence to driving [`crate::decode`] one instruction at a time:
-/// the classifier's "pad" lane only covers bytes (`90`/`CC`) whose
-/// decode is independent of their suffix; its "one" lane only covers
-/// bytes the dispatch table completes in one byte with a fixed tag
-/// (checked against `decode_fast_packed` for all 256 bytes in
-/// `decode::tests`); and `decode_fast_win` agrees with
-/// `decode_fast_packed` whenever 16 buffer bytes remain (also checked
-/// exhaustively). The tail loop *is* the one-at-a-time layering.
+/// a pad run only covers bytes (`90`/`CC`) whose decode is independent
+/// of their suffix, and both loops run the one fast decoder,
+/// `decode_fast_win`, which declines or equals `decode_full` whenever
+/// its length fits (checked at every truncation length in
+/// `decode::tests`). The hot loop's 16 lookahead bytes make every
+/// length fit; the tail reaches it through `decode_fast_slice`, the
+/// same path [`crate::decode`] takes.
 #[allow(clippy::too_many_arguments)]
 fn sweep_range<S: Sink>(
     code: &[u8],
@@ -384,7 +379,7 @@ fn sweep_range<S: Sink>(
             // A lone pad byte: the dispatch table below handles it.
         }
         let addr = base.wrapping_add(off as u64);
-        if let Some((len, tag, target)) = decode_fast_packed(&code[off..], addr, mode) {
+        if let Some((len, tag, target)) = decode_fast_slice(&code[off..], addr, mode) {
             stats.fast_hits += 1;
             sink.one(off, len, tag, target);
             off += len as usize;
@@ -973,10 +968,11 @@ mod tests {
 
     #[test]
     fn stats_account_for_fast_paths() {
-        let mut code = vec![0x55]; // push rbp — fast dispatch
-        code.extend(std::iter::repeat_n(0x90, 64)); // bulk run
-                                                    // mov ax, cx — a 66-prefixed primary-map op forces the full
-                                                    // decoder (the fast path only follows a 66 into the 0F map).
+        // push rbp (fast dispatch), a bulk NOP run, then mov ax, cx — a
+        // 66-prefixed primary-map op, which forces the full decoder (the
+        // fast path only follows a 66 into the 0F map) — and ret.
+        let mut code = vec![0x55];
+        code.extend(std::iter::repeat_n(0x90, 64));
         code.extend_from_slice(&[0x66, 0x89, 0xc8]);
         code.push(0xc3);
         let out = sweep_all(&code, 0x1000, Mode::Bits64);

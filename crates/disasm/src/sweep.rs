@@ -1,6 +1,6 @@
 //! Linear-sweep disassembly (§IV-B of the paper).
 
-use crate::decode::decode;
+use crate::decode::decode_full;
 use crate::insn::Insn;
 use crate::mode::Mode;
 
@@ -9,6 +9,9 @@ use crate::mode::Mode;
 /// Decoding starts at the section base and proceeds instruction by
 /// instruction. On a decode error the sweep **advances one byte and
 /// resumes**, exactly as the paper specifies; such bytes produce no item.
+///
+/// It decodes with the full table-driven decoder alone, never the fast
+/// path, so it is an independent reference for the sweeps that do.
 ///
 /// ```
 /// use funseeker_disasm::{LinearSweep, InsnKind, Mode};
@@ -53,7 +56,7 @@ impl Iterator for LinearSweep<'_> {
             // Wrapping: hostile section addresses can sit near u64::MAX;
             // address math is modulo 2^64 like everywhere else.
             let addr = self.base.wrapping_add(self.offset as u64);
-            match decode(&self.code[self.offset..], addr, self.mode) {
+            match decode_full(&self.code[self.offset..], addr, self.mode) {
                 Ok(insn) => {
                     self.offset += insn.len as usize;
                     return Some(insn);

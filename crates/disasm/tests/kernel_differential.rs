@@ -6,7 +6,7 @@
 //! ride along: sealing is a pure accelerator, so a sealed stream must
 //! answer every address query exactly like its unsealed twin.
 
-use funseeker_disasm::kernels::{classify_block, find_endbr, pad_run_end, BlockClass};
+use funseeker_disasm::kernels::{find_endbr, pad_run_end};
 use funseeker_disasm::{sweep_all, InsnStream, KernelTier, Mode};
 use proptest::prelude::*;
 
@@ -32,11 +32,6 @@ fn ref_pad_run(code: &[u8], start: usize, hi: usize, byte: u8) -> usize {
         i += 1;
     }
     i
-}
-
-/// Scalar-reference block classification via the tier API itself.
-fn ref_classify(block: &[u8], mode: Mode) -> BlockClass {
-    classify_block(block, mode, KernelTier::Scalar)
 }
 
 #[test]
@@ -109,46 +104,6 @@ fn pad_run_every_start_phase_and_cap() {
 }
 
 #[test]
-fn classify_every_block_length() {
-    // A block containing every interesting byte class, truncated to every
-    // possible partial-block length.
-    let mut block = Vec::new();
-    for i in 0..64u8 {
-        block.push(match i % 8 {
-            0 => 0x90, // pad
-            1 => 0xCC, // pad
-            2 => 0xC3, // one (ret)
-            3 => 0x55, // one (push)
-            4 => 0x48, // REX: one in 32-bit only
-            5 => 0xC9, // one (leave)
-            6 => 0xE8, // neither (call rel32)
-            _ => i,    // assorted
-        });
-    }
-    for mode in [Mode::Bits64, Mode::Bits32] {
-        for len in 0..=64usize {
-            let b = &block[..len];
-            let want = ref_classify(b, mode);
-            for tier in tiers() {
-                assert_eq!(classify_block(b, mode, tier), want, "{tier:?} {mode:?} len={len}");
-            }
-        }
-    }
-}
-
-#[test]
-fn classify_rex_bytes_flip_with_mode() {
-    // 40..4F are one-byte inc/dec in 32-bit mode but REX prefixes in
-    // 64-bit; the mask the classifier uses must flip accordingly.
-    let block: Vec<u8> = (0x40u8..0x50).collect();
-    let c64 = ref_classify(&block, Mode::Bits64);
-    let c32 = ref_classify(&block, Mode::Bits32);
-    assert_eq!(c64.one, 0, "REX prefixes are not one-byte instructions");
-    assert_eq!(c32.one, 0xFFFF, "inc/dec reg are one-byte instructions");
-    assert_eq!(c64.pad | c32.pad, 0);
-}
-
-#[test]
 fn sealed_stream_answers_like_unsealed() {
     // Sweep real-ish bytes, seal a copy, and probe every address in and
     // around the region against a linear scan of the decoded
@@ -182,14 +137,13 @@ fn sealed_stream_answers_like_unsealed() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Random buffers: all three kernels agree with scalar at arbitrary
+    /// Random buffers: both kernels agree with scalar at arbitrary
     /// content, lengths, and subslice phases.
     #[test]
     fn kernels_match_scalar_on_random_buffers(
         code in proptest::collection::vec(any::<u8>(), 0..2500),
         seeds in proptest::collection::vec((any::<u16>(), any::<bool>()), 0..12),
         phase in 0usize..64,
-        wide in any::<bool>(),
     ) {
         let mut code = code;
         // Plant needles and pad runs so hits are dense enough to matter.
@@ -201,7 +155,6 @@ proptest! {
             }
         }
         let code = &code[phase.min(code.len())..];
-        let mode = if wide { Mode::Bits64 } else { Mode::Bits32 };
 
         let want_endbr = ref_endbr(code);
         for tier in tiers() {
@@ -217,16 +170,6 @@ proptest! {
                         "pad_run_end {:?} start={} byte={:#x}", tier, start, byte
                     );
                 }
-            }
-        }
-        for block in code.chunks(64) {
-            let want = ref_classify(block, mode);
-            for tier in tiers() {
-                prop_assert_eq!(
-                    classify_block(block, mode, tier),
-                    want,
-                    "classify {:?} {:?}", tier, mode
-                );
             }
         }
     }
