@@ -101,7 +101,7 @@ echo "==> serve load smoke (quick mode, >30% duplicate-heavy throughput regressi
 cargo run --release -q -p funseeker-eval --bin experiments -- \
   serve --quick --check BENCH_batch.json
 
-echo "==> io path smoke (quick mode, v3-decode regression or v3-slower-than-v2 fails)"
+echo "==> io path smoke (quick mode, >30% v3-decode regression fails)"
 cargo run --release -q -p funseeker-eval --bin experiments -- \
   io --quick --check BENCH_io.json
 

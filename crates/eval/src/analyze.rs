@@ -19,16 +19,16 @@
 //! Each row carries the core analyzer's per-stage counters
 //! ([`StageStats`]): FILTERENDBR, SELECTTAILCALL, candidate-set
 //! algebra, and interprocedural nanoseconds. Results append to the
-//! `BENCH_batch.json` trajectory; `--check` gates CI on the newest
-//! committed `analyze_plan4` row and fails outright when the fused plan
-//! loses to re-planning per configuration.
+//! `BENCH_batch.json` trajectory; `--check` fails outright when the fused
+//! plan loses to re-planning per configuration, then gates CI on the
+//! newest committed `analyze_plan4` row.
 
 use std::time::Instant;
 
 use funseeker::{prepare, reference, AnalysisPlan, Config, Prepared, Scratch, StageStats};
 use funseeker_batch::{BatchOptions, ResultCache};
 
-use crate::trajectory;
+use crate::bench::{self, Entry, Host, Report, Row, Value};
 
 /// One measured driver.
 #[derive(Debug, Clone)]
@@ -59,7 +59,7 @@ pub struct AnalyzeReport {
     /// plan derivation and the reference oracle before timing started.
     pub verified: usize,
     /// Execution environment of the run.
-    pub host: crate::host::Host,
+    pub host: Host,
     /// Measured drivers.
     pub rows: Vec<AnalyzeRow>,
 }
@@ -97,7 +97,7 @@ pub fn run(quick: bool) -> AnalyzeReport {
     let n = images.len();
     let mut rows = Vec::new();
     let mut push = |label: &str, samples: &[f64], stage: StageStats| {
-        let (best_s, sd_s) = crate::variance::best_and_sd(samples);
+        let (best_s, sd_s) = bench::best_and_sd(samples);
         rows.push(AnalyzeRow {
             label: label.to_owned(),
             ms: best_s * 1e3,
@@ -171,14 +171,7 @@ pub fn run(quick: bool) -> AnalyzeReport {
     }
     push("analyze_cold", &samples, stage);
 
-    AnalyzeReport {
-        binaries: n,
-        configs: configs.len(),
-        reps,
-        verified,
-        host: crate::host::host(),
-        rows,
-    }
+    AnalyzeReport { binaries: n, configs: configs.len(), reps, verified, host: bench::host(), rows }
 }
 
 impl AnalyzeReport {
@@ -191,135 +184,76 @@ impl AnalyzeReport {
             _ => 1.0,
         }
     }
+}
 
-    /// Human-readable report with the per-stage breakdown.
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        s.push_str(&format!(
-            "corpus: {} distinct binaries, {} configs each, best of {} runs, \
-             {} (binary, config) pairs verified bit-identical\n\n",
-            self.binaries, self.configs, self.reps, self.verified,
-        ));
-        s.push_str(&format!(
-            "{:<15} {:>9} {:>8} {:>12} {:>9} {:>9} {:>9} {:>9}\n",
-            "driver", "ms", "±sd", "binaries/s", "filter", "tailcall", "bounds", "interproc"
-        ));
-        for r in &self.rows {
-            s.push_str(&format!(
-                "{:<15} {:>9.2} {:>8.2} {:>12.1} {:>7.2}ms {:>7.2}ms {:>7.2}ms {:>7.2}ms\n",
-                r.label,
-                r.ms,
-                r.sd_ms,
-                r.bins_per_s,
-                r.stage.filter_ns as f64 / 1e6,
-                r.stage.tailcall_ns as f64 / 1e6,
-                r.stage.boundaries_ns as f64 / 1e6,
-                r.stage.interproc_ns as f64 / 1e6,
-            ));
+impl Report for AnalyzeReport {
+    const SCHEMA: &'static str = bench::BATCH;
+    const DOING: &'static str = "measuring shared-plan analysis";
+    const TITLE: &'static str = "Shared-plan analysis";
+
+    fn entry(&self) -> Entry {
+        let ms = |ns: u64| Value::F3(ns as f64 / 1e6);
+        let rows = self.rows.iter().map(|r| {
+            Row::new(
+                &r.label,
+                vec![
+                    ("ms", Value::F3(r.ms)),
+                    ("sd_ms", Value::F3(r.sd_ms)),
+                    ("bins_per_s", Value::F1(r.bins_per_s)),
+                    ("filter_ms", ms(r.stage.filter_ns)),
+                    ("tailcall_ms", ms(r.stage.tailcall_ns)),
+                    ("boundaries_ms", ms(r.stage.boundaries_ns)),
+                    ("interproc_ms", ms(r.stage.interproc_ns)),
+                ],
+            )
+        });
+        Entry {
+            header: vec![
+                ("binaries", self.binaries.into()),
+                ("configs", self.configs.into()),
+                ("reps", self.reps.into()),
+                ("verified", self.verified.into()),
+            ],
+            host: self.host.clone(),
+            rows: rows.collect(),
         }
-        s.push_str(&format!("\nplan-over-replan speedup: {:.2}x\n", self.speedup()));
-        s
     }
 
-    /// The trajectory entry for this run, as a JSON object literal
-    /// (lands in `BENCH_batch.json` next to the batch and serve rows).
-    pub fn json_entry(&self, label: &str) -> String {
-        let mut s = String::new();
-        s.push_str(&format!(
-            "    {{\"label\": {:?}, \"binaries\": {}, \"configs\": {}, \"reps\": {}, \
-             \"verified\": {}, {}, \"rows\": [\n",
-            label,
+    fn render(&self) -> String {
+        format!(
+            "corpus: {} distinct binaries, {} configs each, best of {} runs, {} (binary, config) \
+             pairs verified bit-identical\n\n{}\nplan-over-replan speedup: {:.2}x\n",
             self.binaries,
             self.configs,
             self.reps,
             self.verified,
-            self.host.json_fields()
-        ));
-        for (i, r) in self.rows.iter().enumerate() {
-            s.push_str(&format!(
-                "      {{\"config\": {:?}, \"ms\": {:.3}, \"sd_ms\": {:.3}, \
-                 \"bins_per_s\": {:.1}, \"filter_ms\": {:.3}, \"tailcall_ms\": {:.3}, \
-                 \"boundaries_ms\": {:.3}, \"interproc_ms\": {:.3}}}{}\n",
-                r.label,
-                r.ms,
-                r.sd_ms,
-                r.bins_per_s,
-                r.stage.filter_ns as f64 / 1e6,
-                r.stage.tailcall_ns as f64 / 1e6,
-                r.stage.boundaries_ns as f64 / 1e6,
-                r.stage.interproc_ns as f64 / 1e6,
-                if i + 1 < self.rows.len() { "," } else { "" },
+            self.entry().table().render(),
+            self.speedup(),
+        )
+    }
+
+    /// Fails outright when the fused plan loses to re-planning per
+    /// configuration, then gates `analyze_plan4` throughput against the
+    /// newest committed entry.
+    fn check(&self, committed: &str, min_ratio: f64) -> Result<String, String> {
+        // A fused plan slower than re-planning is a broken plan,
+        // whatever the trajectory says.
+        let speedup = self.speedup();
+        if speedup < 1.0 {
+            return Err(format!(
+                "plan-derived analysis is slower than re-planning per configuration \
+                 ({speedup:.2}x)"
             ));
         }
-        s.push_str("    ]}");
-        s
-    }
-
-    /// Appends this run as a new entry to an existing `BENCH_batch.json`
-    /// document (or starts a fresh one).
-    pub fn append_to_document(&self, existing: Option<&str>, label: &str) -> String {
-        trajectory::append_entry(existing, crate::batch::SCHEMA, self.json_entry(label))
-    }
-}
-
-/// CI regression gate: the fresh `analyze_plan4` throughput must reach
-/// `min_ratio` of the newest committed entry (noise-tolerance-widened,
-/// like every other gate), and the fused plan must not lose to
-/// re-planning per configuration.
-pub fn check_against(
-    committed: &str,
-    fresh: &AnalyzeReport,
-    min_ratio: f64,
-) -> Result<String, String> {
-    // The hard half first: a fused plan slower than re-planning is a
-    // broken plan, whatever the trajectory says.
-    let speedup = fresh.speedup();
-    if speedup < 1.0 {
-        return Err(format!(
-            "plan-derived analysis is slower than re-planning per configuration ({speedup:.2}x)"
-        ));
-    }
-    let Some(baseline) = trajectory::last_value(committed, "analyze_plan4", "bins_per_s") else {
-        return Err("committed BENCH_batch.json has no analyze_plan4 entry".into());
-    };
-    let Some(now) = fresh.rows.iter().find(|r| r.label == "analyze_plan4") else {
-        return Err("fresh measurement has no analyze_plan4 row".into());
-    };
-    let committed_cores = trajectory::last_row_meta(committed, "analyze_plan4", "cores_used");
-    if !fresh.host.comparable_with(committed_cores) {
-        return Ok(format!(
-            "skipped: committed analyze_plan4 entry was measured with {} cores, this run uses \
-             {} — not comparable",
-            committed_cores.unwrap_or(0.0),
-            fresh.host.cores_used
-        ));
-    }
-    let rel_committed = trajectory::last_value(committed, "analyze_plan4", "sd_ms")
-        .zip(trajectory::last_value(committed, "analyze_plan4", "ms"))
-        .map_or(0.0, |(sd, ms)| if ms > 0.0 { sd / ms } else { 0.0 });
-    let rel_fresh = if now.ms > 0.0 { now.sd_ms / now.ms } else { 0.0 };
-    let tol = crate::variance::noise_tolerance(rel_committed, rel_fresh);
-    let threshold = min_ratio * (1.0 - tol);
-    let ratio = now.bins_per_s / baseline;
-    let msg = format!(
-        "plan-derived analyze: {:.1} binaries/s vs committed {:.1} binaries/s ({:.0}% of \
-         baseline, threshold {:.0}% incl. {:.0}% noise tolerance; {speedup:.2}x over replan)",
-        now.bins_per_s,
-        baseline,
-        ratio * 100.0,
-        threshold * 100.0,
-        tol * 100.0,
-    );
-    if ratio < threshold {
-        Err(msg)
-    } else {
-        Ok(msg)
+        bench::ratio_gate(committed, &self.entry(), "analyze_plan4", "bins_per_s", min_ratio)
+            .map(|msg| format!("{msg}; {speedup:.2}x over replan"))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bench::Gated;
 
     fn fake_report() -> AnalyzeReport {
         let stage = StageStats {
@@ -336,7 +270,7 @@ mod tests {
             configs: 4,
             reps: 3,
             verified: 256,
-            host: crate::host::host(),
+            host: bench::host(),
             rows: vec![
                 AnalyzeRow {
                     label: "analyze_replan4".into(),
@@ -363,34 +297,49 @@ mod tests {
         }
     }
 
-    #[test]
-    fn json_round_trip_and_gate() {
-        let r = fake_report();
-        let doc = r.append_to_document(None, "pre");
-        assert!(doc.contains(crate::batch::SCHEMA));
-        assert_eq!(trajectory::last_value(&doc, "analyze_plan4", "bins_per_s"), Some(3200.0));
-        assert_eq!(trajectory::last_value(&doc, "analyze_plan4", "filter_ms"), Some(1.0));
-        assert!(check_against(&doc, &r, 0.7).is_ok());
-        let mut slow = fake_report();
-        slow.rows[1].bins_per_s = 1000.0; // below 70% of committed…
-        assert!(check_against(&doc, &slow, 0.7).is_err());
-        // …and a plan slower than replan fails regardless of history.
-        let mut inverted = fake_report();
-        inverted.rows[1].bins_per_s = 1500.0;
-        inverted.rows[1].ms = 45.0;
-        let err = check_against(&doc, &inverted, 0.1).unwrap_err();
-        assert!(err.contains("slower than re-planning"), "{err}");
+    impl AnalyzeReport {
+        pub(crate) fn fake(g: Gated) -> Self {
+            let mut r = fake_report();
+            r.host.cores_used = g.cores;
+            let plan = &mut r.rows[1];
+            (plan.bins_per_s, plan.ms, plan.sd_ms) = (g.value, g.ms, g.sd_ms);
+            // Keep the plan ahead of replan so only the ratio gate decides.
+            r.rows[0].bins_per_s = g.value / 2.0;
+            r
+        }
     }
+
+    #[test]
+    fn entry_bytes_are_unchanged() {
+        let r = AnalyzeReport { host: bench::test_host(), ..fake_report() };
+        assert_eq!(r.entry().write("golden"), GOLDEN);
+    }
+
+    const GOLDEN: &str = r#"    {"label": "golden", "binaries": 64, "configs": 4, "reps": 3, "verified": 256, "cores_used": 2, "avail_par": 8, "tier": "avx2", "rows": [
+      {"config": "analyze_replan4", "ms": 40.000, "sd_ms": 1.000, "bins_per_s": 1600.0, "filter_ms": 1.000, "tailcall_ms": 2.000, "boundaries_ms": 3.000, "interproc_ms": 0.000},
+      {"config": "analyze_plan4", "ms": 20.000, "sd_ms": 0.500, "bins_per_s": 3200.0, "filter_ms": 1.000, "tailcall_ms": 2.000, "boundaries_ms": 3.000, "interproc_ms": 0.000},
+      {"config": "analyze_cold", "ms": 60.000, "sd_ms": 2.000, "bins_per_s": 1066.0, "filter_ms": 1.000, "tailcall_ms": 2.000, "boundaries_ms": 3.000, "interproc_ms": 0.000}
+    ]}"#;
 
     #[test]
     fn batch_and_analyze_rows_share_one_document() {
         // Both subcommands append to BENCH_batch.json; each gate must
         // keep finding its own rows in the merged history.
-        let a = fake_report();
-        let doc = a.append_to_document(None, "analyze");
-        assert_eq!(trajectory::extract_entries(&doc).len(), 1);
-        assert_eq!(trajectory::last_value(&doc, "analyze_cold", "bins_per_s"), Some(1066.0));
-        assert_eq!(trajectory::last_value(&doc, "cold", "bins_per_s"), None);
+        let doc = fake_report().append_to(None, "analyze");
+        assert_eq!(bench::last_value(&doc, "analyze_cold", "bins_per_s"), Some(1066.0));
+        assert_eq!(bench::last_value(&doc, "cold", "bins_per_s"), None);
+    }
+
+    #[test]
+    fn plan_slower_than_replan_fails_whatever_the_trajectory() {
+        let r = fake_report();
+        let doc = r.append_to(None, "pre");
+        assert!(r.check(&doc, 0.7).is_ok());
+        let mut inverted = fake_report();
+        inverted.rows[1].bins_per_s = 1500.0;
+        inverted.rows[1].ms = 45.0;
+        let err = inverted.check(&doc, 0.1).unwrap_err();
+        assert!(err.contains("slower than re-planning"), "{err}");
     }
 
     #[test]

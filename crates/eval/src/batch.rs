@@ -14,10 +14,9 @@
 //! | `warm` | a rerun against the populated in-memory cache — hash, look up, done |
 //! | `disk` | a fresh process's view: empty memory cache served by the on-disk layer |
 //!
-//! Results append to the `BENCH_batch.json` trajectory (same
-//! line-oriented format as `BENCH_sweep.json`, via
-//! [`crate::trajectory`]) and `--check` gates CI on the newest
-//! committed `cold` row. Peak RSS comes from `VmHWM` in
+//! Results append to the `BENCH_batch.json` trajectory through
+//! [`crate::bench`], and `--check` gates CI on the newest committed
+//! `cold` row. Peak RSS comes from `VmHWM` in
 //! `/proc/self/status`, covering the whole process including the
 //! corpus itself.
 
@@ -29,15 +28,11 @@ use funseeker_batch::{inflight_estimate, Ballast, BatchOptions, ResultCache};
 use funseeker_corpus::{BuildConfig, Dataset, DatasetParams};
 use funseeker_elf::Image;
 
+use crate::bench::{self, Entry, Host, Report, Row, Value};
 use crate::runner::par_map_timed;
-use crate::trajectory;
 
 /// Seed for the benchmark corpus (shared with [`crate::perf`]).
 const SEED: u64 = 0xBE7C4;
-
-/// Trajectory schema tag for `BENCH_batch.json` (shared with
-/// [`crate::serve`], whose rows land in the same document).
-pub(crate) const SCHEMA: &str = "funseeker-bench-batch-v1";
 
 /// How many times each generated image recurs in the corpus.
 const DUPLICATES: usize = 3;
@@ -76,7 +71,7 @@ pub struct BatchReport {
     pub peak_rss_kb: u64,
     /// Execution environment of the run (pool width, host cores,
     /// kernel tier).
-    pub host: crate::host::Host,
+    pub host: Host,
     /// Core-analyzer per-stage counters from the cold driver's measured
     /// run (see [`funseeker::StageStats`]).
     pub stage: funseeker::StageStats,
@@ -139,7 +134,7 @@ pub fn run(quick: bool) -> BatchReport {
     let n = images.len();
     let mut rows = Vec::new();
     let mut push = |label: &str, samples: &[f64], hit_rate: f64, unique: usize| {
-        let (best_s, sd_s) = crate::variance::best_and_sd(samples);
+        let (best_s, sd_s) = bench::best_and_sd(samples);
         rows.push(BatchRow {
             label: label.to_owned(),
             ms: best_s * 1e3,
@@ -257,44 +252,53 @@ pub fn run(quick: bool) -> BatchReport {
         configs: configs.len(),
         reps,
         peak_rss_kb: peak_rss_kb(),
-        host: crate::host::host(),
+        host: bench::host(),
         stage: cold_stage,
         rows,
     }
 }
 
-impl BatchReport {
-    /// Human-readable report.
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        s.push_str(&format!(
-            "corpus: {} binaries ({} distinct ×{}), {} configs each, best of {} runs, \
-             peak RSS {:.1} MiB\n\n",
+impl Report for BatchReport {
+    const SCHEMA: &'static str = bench::BATCH;
+    const DOING: &'static str = "measuring batch-engine throughput";
+    const TITLE: &'static str = "Batch engine performance";
+
+    fn entry(&self) -> Entry {
+        let rows = self.rows.iter().map(|r| {
+            Row::new(
+                &r.label,
+                vec![
+                    ("ms", Value::F3(r.ms)),
+                    ("sd_ms", Value::F3(r.sd_ms)),
+                    ("bins_per_s", Value::F1(r.bins_per_s)),
+                    ("hit_rate", Value::F4(r.hit_rate)),
+                    ("unique", r.unique_images.into()),
+                ],
+            )
+        });
+        Entry {
+            header: vec![
+                ("binaries", self.binaries.into()),
+                ("configs", self.configs.into()),
+                ("reps", self.reps.into()),
+                ("peak_rss_kb", self.peak_rss_kb.into()),
+            ],
+            host: self.host.clone(),
+            rows: rows.collect(),
+        }
+    }
+
+    fn render(&self) -> String {
+        format!(
+            "corpus: {} binaries ({} distinct ×{DUPLICATES}), {} configs each, best of {} runs, \
+             peak RSS {:.1} MiB\n\n{}\ncold analyze stages: filter {:.2}ms, tailcall {:.2}ms, \
+             bounds {:.2}ms, interproc {:.2}ms ({} entry / {} tail / {} final candidates)\n",
             self.binaries,
             self.distinct,
-            DUPLICATES,
             self.configs,
             self.reps,
             self.peak_rss_kb as f64 / 1024.0,
-        ));
-        s.push_str(&format!(
-            "{:<9} {:>10} {:>8} {:>12} {:>10} {:>8}\n",
-            "driver", "ms", "±sd", "binaries/s", "hit-rate", "unique"
-        ));
-        for r in &self.rows {
-            s.push_str(&format!(
-                "{:<9} {:>10.1} {:>8.1} {:>12.1} {:>9.0}% {:>8}\n",
-                r.label,
-                r.ms,
-                r.sd_ms,
-                r.bins_per_s,
-                r.hit_rate * 100.0,
-                r.unique_images,
-            ));
-        }
-        s.push_str(&format!(
-            "\ncold analyze stages: filter {:.2}ms, tailcall {:.2}ms, bounds {:.2}ms, \
-             interproc {:.2}ms ({} entry / {} tail / {} final candidates)\n",
+            self.entry().table().render(),
             self.stage.filter_ns as f64 / 1e6,
             self.stage.tailcall_ns as f64 / 1e6,
             self.stage.boundaries_ns as f64 / 1e6,
@@ -302,98 +306,13 @@ impl BatchReport {
             self.stage.entry_candidates,
             self.stage.tail_candidates,
             self.stage.final_candidates,
-        ));
-        s
+        )
     }
 
-    /// The trajectory entry for this run, as a JSON object literal.
-    pub fn json_entry(&self, label: &str) -> String {
-        let mut s = String::new();
-        s.push_str(&format!(
-            "    {{\"label\": {:?}, \"binaries\": {}, \"configs\": {}, \"reps\": {}, \
-             \"peak_rss_kb\": {}, {}, \"rows\": [\n",
-            label,
-            self.binaries,
-            self.configs,
-            self.reps,
-            self.peak_rss_kb,
-            self.host.json_fields()
-        ));
-        for (i, r) in self.rows.iter().enumerate() {
-            s.push_str(&format!(
-                "      {{\"config\": {:?}, \"ms\": {:.3}, \"sd_ms\": {:.3}, \
-                 \"bins_per_s\": {:.1}, \"hit_rate\": {:.4}, \"unique\": {}}}{}\n",
-                r.label,
-                r.ms,
-                r.sd_ms,
-                r.bins_per_s,
-                r.hit_rate,
-                r.unique_images,
-                if i + 1 < self.rows.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("    ]}");
-        s
-    }
-
-    /// Appends this run as a new entry to an existing `BENCH_batch.json`
-    /// document (or starts a fresh one).
-    pub fn append_to_document(&self, existing: Option<&str>, label: &str) -> String {
-        trajectory::append_entry(existing, SCHEMA, self.json_entry(label))
-    }
-}
-
-/// The newest `bins_per_s` recorded for `config` in a committed
-/// `BENCH_batch.json`, if any.
-pub fn last_bins_per_s(doc: &str, config: &str) -> Option<f64> {
-    trajectory::last_value(doc, config, "bins_per_s")
-}
-
-/// CI regression gate: compares the fresh report's cold-cache
-/// throughput against the newest committed entry, failing when it fell
-/// below `min_ratio` (e.g. `0.7` = fail on a >30 % regression). Like the
-/// sweep gate, the threshold is widened by the run-to-run noise both
-/// sides recorded (see [`crate::variance::noise_tolerance`]).
-pub fn check_against(
-    committed: &str,
-    fresh: &BatchReport,
-    min_ratio: f64,
-) -> Result<String, String> {
-    let Some(baseline) = last_bins_per_s(committed, "cold") else {
-        return Err("committed BENCH_batch.json has no cold entry".into());
-    };
-    let Some(now) = fresh.rows.iter().find(|r| r.label == "cold") else {
-        return Err("fresh measurement has no cold row".into());
-    };
-    let committed_cores = trajectory::last_row_meta(committed, "cold", "cores_used");
-    if !fresh.host.comparable_with(committed_cores) {
-        return Ok(format!(
-            "skipped: committed cold entry was measured with {} cores, this run uses {} — \
-             not comparable",
-            committed_cores.unwrap_or(0.0),
-            fresh.host.cores_used
-        ));
-    }
-    let rel_committed = trajectory::last_value(committed, "cold", "sd_ms")
-        .zip(trajectory::last_value(committed, "cold", "ms"))
-        .map_or(0.0, |(sd, ms)| if ms > 0.0 { sd / ms } else { 0.0 });
-    let rel_fresh = if now.ms > 0.0 { now.sd_ms / now.ms } else { 0.0 };
-    let tol = crate::variance::noise_tolerance(rel_committed, rel_fresh);
-    let threshold = min_ratio * (1.0 - tol);
-    let ratio = now.bins_per_s / baseline;
-    let msg = format!(
-        "cold-cache batch: {:.1} binaries/s vs committed {:.1} binaries/s ({:.0}% of baseline, \
-         threshold {:.0}% incl. {:.0}% noise tolerance)",
-        now.bins_per_s,
-        baseline,
-        ratio * 100.0,
-        threshold * 100.0,
-        tol * 100.0,
-    );
-    if ratio < threshold {
-        Err(msg)
-    } else {
-        Ok(msg)
+    /// Gates cold-cache throughput (binaries/s) against the newest
+    /// committed entry.
+    fn check(&self, committed: &str, min_ratio: f64) -> Result<String, String> {
+        bench::ratio_gate(committed, &self.entry(), "cold", "bins_per_s", min_ratio)
     }
 }
 
@@ -437,7 +356,7 @@ pub struct ScaledReport {
     /// The `Ballast` cap the sweep was admitted under, in bytes.
     pub max_inflight_bytes: usize,
     /// Execution environment.
-    pub host: crate::host::Host,
+    pub host: Host,
 }
 
 /// Runs the paper-scale ingestion measurement: writes `scale`
@@ -518,7 +437,7 @@ pub fn run_scaled(scale: usize, quick: bool) -> ScaledReport {
         rss_before_kb,
         peak_rss_kb: peak_after_kb,
         max_inflight_bytes: SCALE_INFLIGHT_BYTES,
-        host: crate::host::host(),
+        host: bench::host(),
     }
 }
 
@@ -572,6 +491,7 @@ impl ScaledReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bench::Gated;
 
     fn fake_report() -> BatchReport {
         BatchReport {
@@ -580,7 +500,7 @@ mod tests {
             configs: 4,
             reps: 2,
             peak_rss_kb: 100_000,
-            host: crate::host::host(),
+            host: bench::host(),
             stage: funseeker::StageStats::default(),
             rows: vec![
                 BatchRow {
@@ -611,22 +531,27 @@ mod tests {
         }
     }
 
-    #[test]
-    fn json_round_trip_and_gate() {
-        let r = fake_report();
-        let doc = r.append_to_document(None, "pre");
-        assert!(doc.contains("funseeker-bench-batch-v1"));
-        assert_eq!(last_bins_per_s(&doc, "cold"), Some(500.0));
-        assert_eq!(last_bins_per_s(&doc, "flat"), Some(200.0));
-        assert!(check_against(&doc, &r, 0.7).is_ok());
-        let mut slow = fake_report();
-        slow.rows[1].bins_per_s = 100.0;
-        assert!(check_against(&doc, &slow, 0.7).is_err());
-        // Appending keeps history and the gate reads the newest entry.
-        let doc2 = slow.append_to_document(Some(&doc), "post");
-        assert_eq!(trajectory::extract_entries(&doc2).len(), 2);
-        assert_eq!(last_bins_per_s(&doc2, "cold"), Some(100.0));
+    impl BatchReport {
+        pub(crate) fn fake(g: Gated) -> Self {
+            let mut r = fake_report();
+            r.host.cores_used = g.cores;
+            let cold = &mut r.rows[1];
+            (cold.bins_per_s, cold.ms, cold.sd_ms) = (g.value, g.ms, g.sd_ms);
+            r
+        }
     }
+
+    #[test]
+    fn entry_bytes_are_unchanged() {
+        let r = BatchReport { host: bench::test_host(), ..fake_report() };
+        assert_eq!(r.entry().write("golden"), GOLDEN);
+    }
+
+    const GOLDEN: &str = r#"    {"label": "golden", "binaries": 20, "configs": 4, "reps": 2, "peak_rss_kb": 100000, "cores_used": 2, "avail_par": 8, "tier": "avx2", "rows": [
+      {"config": "flat", "ms": 100.000, "sd_ms": 2.000, "bins_per_s": 200.0, "hit_rate": 0.0000, "unique": 20},
+      {"config": "cold", "ms": 40.000, "sd_ms": 1.000, "bins_per_s": 500.0, "hit_rate": 0.6600, "unique": 10},
+      {"config": "warm", "ms": 2.000, "sd_ms": 0.100, "bins_per_s": 10000.0, "hit_rate": 1.0000, "unique": 10}
+    ]}"#;
 
     #[test]
     fn scaled_ingestion_is_mapped_and_rss_bounded() {

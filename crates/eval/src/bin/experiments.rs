@@ -11,74 +11,47 @@
 //! experiments multicore [--quick] [--cores N] [--json-sweep FILE] [--json-batch FILE] [--label NAME] [--check FILE]
 //! ```
 //!
-//! The `perf` subcommand measures sweep throughput and per-stage
-//! counters on a deterministic tiled corpus (no full corpus generation):
-//! `--json FILE` appends the run to a `BENCH_sweep.json` trajectory,
-//! `--check FILE` exits non-zero when sequential throughput drops below
-//! 70 % of the file's newest committed entry, and `--quick` shrinks the
-//! input for CI smoke use.
+//! The benchmark subcommands (`perf`, `batch`, `analyze`, `callgraph`,
+//! `serve`, `io`, `multicore`) build their own inputs instead of the
+//! paper corpus, print a report, and share one path: `--quick` shrinks
+//! the input for CI smoke use, `--json FILE` appends the run to a
+//! trajectory file (`--label NAME` names the entry), and `--check FILE`
+//! exits non-zero when the harness's own checks fail or its gated row
+//! falls below 70 % of the file's newest committed value (widened by
+//! the recorded noise, skipped across pool widths). The writer and the
+//! gate are `funseeker_eval::bench`; what each harness measures and
+//! gates:
 //!
-//! The `batch` subcommand measures the batch engine — binaries/second
-//! through the flat, nocache, cold-cache, warm-cache, and disk-cache
-//! drivers over a corpus with duplicated images, plus cache hit rates
-//! and peak RSS. Flags mirror `perf` against `BENCH_batch.json`;
-//! `--check` gates on the newest committed cold-cache entry.
-//! `--corpus-scale N` instead runs the paper-scale ingestion
-//! measurement: N content-unique binaries (up to ~8,000; without the
-//! flag the corpus keeps its regular 576) written to disk and streamed
-//! through mmap ingestion under a small admission budget, with peak
-//! RSS asserted bounded by that budget rather than the corpus size.
+//! | subcommand | trajectory | gated row | own checks |
+//! |---|---|---|---|
+//! | `perf` | `BENCH_sweep.json` | `sequential` MB/s | — |
+//! | `batch` | `BENCH_batch.json` | `cold` binaries/s | — |
+//! | `analyze` | `BENCH_batch.json` | `analyze_plan4` binaries/s | plan not slower than re-planning per configuration |
+//! | `callgraph` | `BENCH_sweep.json` | `callgraph` MB/s | direct-edge precision ≥ 95 % |
+//! | `serve` | `BENCH_batch.json` | `serve_dup` req/s | — |
+//! | `io` | `BENCH_io.json` | `decode_v3` records/s | — |
+//! | `multicore` | both | top rung's `mc{K}` MB/s, unwidened | identical streams, sharded ≥ 95 % of sequential, one shard on one core |
 //!
-//! The `analyze` subcommand isolates the back end: every binary of a
-//! distinct-heavy corpus is parsed and swept once, then the four
-//! Table II configurations are analyzed per binary by re-planning for
-//! every configuration (`analyze_replan4`), by one shared
-//! `AnalysisPlan` per binary (`analyze_plan4`), and by the full cold
-//! batch engine (`analyze_cold`), with per-stage FILTERENDBR /
-//! SELECTTAILCALL / candidate-algebra / interprocedural timings on
-//! every row. Every plan-derived analysis is asserted bit-identical to
-//! `funseeker::reference` before timing starts. Flags mirror `perf`
-//! against `BENCH_batch.json`; `--check` gates on the newest committed
-//! `analyze_plan4` row and fails outright when the fused plan is slower
-//! than re-planning per configuration.
+//! `batch --corpus-scale N` instead runs the paper-scale ingestion
+//! measurement: N content-unique binaries (up to ~8,000) written to disk
+//! and streamed through mmap ingestion under a small admission budget,
+//! with peak RSS asserted bounded by that budget rather than the corpus
+//! size.
 //!
-//! The `callgraph` subcommand scores recovered direct/tail call edges
-//! against the corpus's emitted call-edge ground truth and times the
-//! CFG + call-graph build. Flags mirror `perf` against
-//! `BENCH_sweep.json` (a `callgraph` row); `--check` additionally
-//! enforces the ≥95 % direct-edge precision floor.
-//!
-//! The `serve` subcommand load-tests the daemon: it starts an
-//! in-process server on a unix socket and drives it with a concurrent
-//! client fleet (1,024 connections in full mode) under duplicate-heavy
-//! and distinct-heavy traffic, verifying every reply bit-identical to
-//! direct analysis. Flags mirror `perf` against `BENCH_batch.json`
-//! (rows `serve_dup`/`serve_distinct`); `--check` gates on the newest
-//! committed duplicate-heavy throughput.
-//!
-//! The `io` subcommand measures the zero-copy I/O path: cold mmap vs
-//! buffered-read ingestion, the `FSC3` binary cache codec vs the
-//! retired v2 text codec, and a duplicate-heavy daemon barrage served
-//! from pre-encoded reply bytes. Flags mirror `perf` against
-//! `BENCH_io.json`; `--check` gates on the newest committed
-//! `decode_v3` throughput and fails outright if the v3 decoder is
-//! slower than the v2 one.
-//!
-//! The `multicore` subcommand measures multi-core scaling: a
-//! power-of-two ladder of worker-pool widths up to `--cores N` (default
-//! `available_parallelism`), each rung timing the sequential vs
-//! morsel-sharded sweep on the tiled text plus the batch engine's
-//! corpus aggregate, and one distinct-heavy serving row at the top
-//! width. Rungs other than this process's own pool width re-execute the
-//! binary as `multicore-probe --cores K` subprocesses (pool width is
-//! fixed at first use). `--json-sweep`/`--json-batch` append the run to
-//! the two trajectory files; `--check FILE` gates against
-//! `BENCH_sweep.json` — sharding slower than sequential on any ≥2-core
-//! rung fails, a 1-core host verifies the sequential fallback instead.
+//! `multicore` walks a power-of-two ladder of worker-pool widths up to
+//! `--cores N` (default `available_parallelism`). Rungs other than this
+//! process's own pool width re-execute the binary as the hidden
+//! `multicore-probe --cores K` subcommand (pool width is fixed at first
+//! use). It writes two trajectories, so it takes `--json-sweep` and
+//! `--json-batch` in place of `--json`, and `--check` reads
+//! `BENCH_sweep.json`.
 
 use std::time::Instant;
 
 use funseeker_corpus::{Dataset, DatasetParams};
+use funseeker_eval::bench::{self, Report};
+use funseeker_eval::multicore::{self, MulticoreReport};
+use funseeker_eval::{analyze, batch, callgraph, io, perf, serve};
 
 fn usage() -> ! {
     eprintln!(
@@ -94,71 +67,78 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Fraction of the committed baseline throughput a fresh `--check` run
-/// must reach — fail on a >30 % regression. Shared by `perf`
-/// (sequential sweep MB/s) and `batch` (cold-cache binaries/s).
+/// Fraction of the committed baseline a fresh `--check` run must reach
+/// on every harness's gated row — fail on a >30 % regression (before
+/// the gate's noise widening).
 const BENCH_CHECK_MIN_RATIO: f64 = 0.7;
 
-/// Flags shared by the `perf` and `batch` benchmark subcommands.
+/// The value flags of the single-document benchmark subcommands.
+const BENCH_FLAGS: &[&str] = &["--json", "--label", "--check"];
+
+/// Flags shared by every benchmark subcommand: `--quick`, plus the
+/// value flags the subcommand accepts. Any other flag is a usage error.
 struct BenchFlags {
     quick: bool,
-    json: Option<String>,
-    check: Option<String>,
-    label: String,
+    values: Vec<(String, String)>,
 }
 
 impl BenchFlags {
-    fn parse(args: &[String]) -> Self {
-        let mut flags =
-            BenchFlags { quick: false, json: None, check: None, label: "run".to_owned() };
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--quick" => flags.quick = true,
-                "--json" => {
-                    i += 1;
-                    flags.json = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-                }
-                "--check" => {
-                    i += 1;
-                    flags.check = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-                }
-                "--label" => {
-                    i += 1;
-                    flags.label = args.get(i).cloned().unwrap_or_else(|| usage());
-                }
-                _ => usage(),
+    fn parse(args: &[String], value_flags: &[&str]) -> Self {
+        let mut flags = BenchFlags { quick: false, values: Vec::new() };
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if arg == "--quick" {
+                flags.quick = true;
+            } else if value_flags.contains(&arg.as_str()) {
+                let value = args.next().cloned().unwrap_or_else(|| usage());
+                flags.values.push((arg.clone(), value));
+            } else {
+                usage();
             }
-            i += 1;
         }
         flags
     }
 
-    /// Appends to the trajectory file and/or runs the regression gate,
-    /// then exits with the gate's verdict.
-    fn finish(
-        &self,
-        name: &str,
-        append: impl Fn(Option<&str>, &str) -> String,
-        gate: impl Fn(&str) -> Result<String, String>,
-    ) -> ! {
-        if let Some(path) = &self.json {
-            let existing = std::fs::read_to_string(path).ok();
-            let doc = append(existing.as_deref(), &self.label);
-            if let Err(e) = std::fs::write(path, doc) {
-                eprintln!("{name}: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!("{name}: appended entry {:?} to {path}", self.label);
+    /// The last value given for `flag`.
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.values.iter().rev().find(|(f, _)| f == flag).map(|(_, v)| v.as_str())
+    }
+
+    /// The numeric value of `flag`; a non-number is a usage error.
+    fn number(&self, flag: &str) -> Option<usize> {
+        self.value(flag).map(|v| v.parse().unwrap_or_else(|_| usage()))
+    }
+
+    fn label(&self) -> &str {
+        self.value("--label").unwrap_or("run")
+    }
+
+    fn mode(&self) -> &'static str {
+        if self.quick {
+            "quick"
+        } else {
+            "full"
         }
-        if let Some(path) = &self.check {
-            let committed = match std::fs::read_to_string(path) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("{name}: cannot read baseline {path}: {e}");
-                    std::process::exit(1);
-                }
-            };
+    }
+
+    /// Appends this run to the trajectory at `path`, if given.
+    fn append(&self, name: &str, path: Option<&str>, append: impl Fn(Option<&str>) -> String) {
+        let Some(path) = path else { return };
+        let existing = std::fs::read_to_string(path).ok();
+        if let Err(e) = std::fs::write(path, append(existing.as_deref())) {
+            eprintln!("{name}: cannot write {path}: {e}");
+            std::process::exit(1);
+        }
+        eprintln!("{name}: appended entry {:?} to {path}", self.label());
+    }
+
+    /// Runs the `--check` gate, if asked, then exits with its verdict.
+    fn finish(&self, name: &str, gate: impl Fn(&str) -> Result<String, String>) -> ! {
+        if let Some(path) = self.value("--check") {
+            let committed = std::fs::read_to_string(path).unwrap_or_else(|e| {
+                eprintln!("{name}: cannot read baseline {path}: {e}");
+                std::process::exit(1);
+            });
             match gate(&committed) {
                 Ok(msg) => eprintln!("{name} check OK: {msg}"),
                 Err(msg) => {
@@ -171,230 +151,61 @@ impl BenchFlags {
     }
 }
 
-fn run_perf(args: &[String]) -> ! {
-    let flags = BenchFlags::parse(args);
-    eprintln!("measuring sweep throughput ({} mode)…", if flags.quick { "quick" } else { "full" });
-    let report = funseeker_eval::perf::run(flags.quick);
-    println!("## Sweep performance\n");
+/// The one path every single-document benchmark subcommand takes:
+/// measure, print, append to `--json`, gate on `--check`.
+fn run_bench<R: Report>(flags: &BenchFlags, name: &str, run: impl FnOnce(bool) -> R) -> ! {
+    eprintln!("{} ({} mode)…", R::DOING, flags.mode());
+    let report = run(flags.quick);
+    println!("## {}\n", R::TITLE);
     println!("{}", report.render());
-    flags.finish(
-        "perf",
-        |existing, label| report.append_to_document(existing, label),
-        |committed| funseeker_eval::perf::check_against(committed, &report, BENCH_CHECK_MIN_RATIO),
-    )
+    flags.append(name, flags.value("--json"), |existing| report.append_to(existing, flags.label()));
+    flags.finish(name, |committed| report.check(committed, BENCH_CHECK_MIN_RATIO))
 }
 
-fn run_batch(args: &[String]) -> ! {
-    // `--corpus-scale N` replaces the driver comparison with the
-    // paper-scale streaming-ingestion measurement; pull it (and its
-    // value) out before the shared flag parser sees the rest.
-    let mut scale: Option<usize> = None;
-    let mut rest: Vec<String> = Vec::with_capacity(args.len());
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--corpus-scale" {
-            i += 1;
-            scale = Some(args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage()));
-        } else {
-            rest.push(args[i].clone());
-        }
-        i += 1;
-    }
-    let flags = BenchFlags::parse(&rest);
-    if let Some(scale) = scale {
-        eprintln!(
-            "measuring paper-scale ingestion ({} binaries, {} mode)…",
-            scale.min(funseeker_eval::batch::SCALE_CAP),
-            if flags.quick { "quick" } else { "full" }
-        );
-        let report = funseeker_eval::batch::run_scaled(scale, flags.quick);
-        println!("## Paper-scale corpus ingestion\n");
-        println!("{}", report.render());
-        match report.rss_bounded() {
-            Ok(msg) => eprintln!("batch corpus-scale OK: {msg}"),
-            Err(msg) => {
-                eprintln!("batch corpus-scale FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
-        std::process::exit(0);
-    }
+/// `batch --corpus-scale N`: the paper-scale streaming-ingestion
+/// measurement instead of the driver comparison.
+fn run_corpus_scale(flags: &BenchFlags, scale: usize) -> ! {
     eprintln!(
-        "measuring batch-engine throughput ({} mode)…",
-        if flags.quick { "quick" } else { "full" }
+        "measuring paper-scale ingestion ({} binaries, {} mode)…",
+        scale.min(batch::SCALE_CAP),
+        flags.mode()
     );
-    let report = funseeker_eval::batch::run(flags.quick);
-    println!("## Batch engine performance\n");
+    let report = batch::run_scaled(scale, flags.quick);
+    println!("## Paper-scale corpus ingestion\n");
     println!("{}", report.render());
-    flags.finish(
-        "batch",
-        |existing, label| report.append_to_document(existing, label),
-        |committed| funseeker_eval::batch::check_against(committed, &report, BENCH_CHECK_MIN_RATIO),
-    )
-}
-
-fn run_analyze(args: &[String]) -> ! {
-    let flags = BenchFlags::parse(args);
-    eprintln!(
-        "measuring shared-plan analysis ({} mode)…",
-        if flags.quick { "quick" } else { "full" }
-    );
-    let report = funseeker_eval::analyze::run(flags.quick);
-    println!("## Shared-plan analysis\n");
-    println!("{}", report.render());
-    flags.finish(
-        "analyze",
-        |existing, label| report.append_to_document(existing, label),
-        |committed| {
-            funseeker_eval::analyze::check_against(committed, &report, BENCH_CHECK_MIN_RATIO)
-        },
-    )
-}
-
-fn run_callgraph(args: &[String]) -> ! {
-    let flags = BenchFlags::parse(args);
-    eprintln!("scoring call-graph recovery ({} mode)…", if flags.quick { "quick" } else { "full" });
-    let report = funseeker_eval::callgraph::run(flags.quick);
-    println!("## Call-edge precision/recall and graph-build throughput\n");
-    println!("{}", report.render());
-    flags.finish(
-        "callgraph",
-        |existing, label| report.append_to_document(existing, label),
-        |committed| {
-            funseeker_eval::callgraph::check_against(committed, &report, BENCH_CHECK_MIN_RATIO)
-        },
-    )
-}
-
-fn run_serve(args: &[String]) -> ! {
-    let flags = BenchFlags::parse(args);
-    eprintln!("load-testing the daemon ({} mode)…", if flags.quick { "quick" } else { "full" });
-    let report = funseeker_eval::serve::run(flags.quick);
-    println!("## Serving-layer load test\n");
-    println!("{}", report.render());
-    flags.finish(
-        "serve",
-        |existing, label| report.append_to_document(existing, label),
-        |committed| funseeker_eval::serve::check_against(committed, &report, BENCH_CHECK_MIN_RATIO),
-    )
-}
-
-fn run_io(args: &[String]) -> ! {
-    let flags = BenchFlags::parse(args);
-    eprintln!(
-        "measuring the zero-copy I/O path ({} mode)…",
-        if flags.quick { "quick" } else { "full" }
-    );
-    let report = funseeker_eval::io::run(flags.quick);
-    println!("## Zero-copy I/O path\n");
-    println!("{}", report.render());
-    flags.finish(
-        "io",
-        |existing, label| report.append_to_document(existing, label),
-        |committed| funseeker_eval::io::check_against(committed, &report, BENCH_CHECK_MIN_RATIO),
-    )
-}
-
-fn run_multicore(args: &[String]) -> ! {
-    let mut quick = false;
-    let mut cores: Option<usize> = None;
-    let mut json_sweep: Option<String> = None;
-    let mut json_batch: Option<String> = None;
-    let mut check: Option<String> = None;
-    let mut label = "run".to_owned();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => quick = true,
-            "--cores" => {
-                i += 1;
-                cores = Some(args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage()));
-            }
-            "--json-sweep" => {
-                i += 1;
-                json_sweep = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--json-batch" => {
-                i += 1;
-                json_batch = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--check" => {
-                i += 1;
-                check = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--label" => {
-                i += 1;
-                label = args.get(i).cloned().unwrap_or_else(|| usage());
-            }
-            _ => usage(),
-        }
-        i += 1;
-    }
-
-    eprintln!("measuring multi-core scaling ({} mode)…", if quick { "quick" } else { "full" });
-    let report = funseeker_eval::multicore::run(quick, cores);
-    println!("## Multi-core scaling\n");
-    println!("{}", report.render());
-
-    let append = |path: &str, doc: String| {
-        if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("multicore: cannot write {path}: {e}");
+    match report.rss_bounded() {
+        Ok(msg) => eprintln!("batch corpus-scale OK: {msg}"),
+        Err(msg) => {
+            eprintln!("batch corpus-scale FAILED: {msg}");
             std::process::exit(1);
-        }
-        eprintln!("multicore: appended entry {label:?} to {path}");
-    };
-    if let Some(path) = &json_sweep {
-        let existing = std::fs::read_to_string(path).ok();
-        append(path, report.append_to_sweep_document(existing.as_deref(), &label));
-    }
-    if let Some(path) = &json_batch {
-        let existing = std::fs::read_to_string(path).ok();
-        append(path, report.append_to_batch_document(existing.as_deref(), &label));
-    }
-    if let Some(path) = &check {
-        let committed = match std::fs::read_to_string(path) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("multicore: cannot read baseline {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        match funseeker_eval::multicore::check_against(&committed, &report, BENCH_CHECK_MIN_RATIO) {
-            Ok(msg) => eprintln!("multicore check OK: {msg}"),
-            Err(msg) => {
-                eprintln!("multicore check FAILED: {msg}");
-                std::process::exit(1);
-            }
         }
     }
     std::process::exit(0)
 }
 
+fn run_multicore(flags: &BenchFlags) -> ! {
+    eprintln!("{} ({} mode)…", MulticoreReport::DOING, flags.mode());
+    let report = multicore::run(flags.quick, flags.number("--cores"));
+    println!("## {}\n", MulticoreReport::TITLE);
+    println!("{}", report.render());
+    let label = flags.label();
+    flags.append("multicore", flags.value("--json-sweep"), |e| report.append_to(e, label));
+    flags.append("multicore", flags.value("--json-batch"), |e| {
+        bench::append(e, bench::BATCH, report.batch_entry().write(label))
+    });
+    flags.finish("multicore", |committed| report.check(committed, BENCH_CHECK_MIN_RATIO))
+}
+
 /// Hidden helper subcommand: one rung of the scaling ladder, run in a
 /// fresh process so the pool can be pinned to `--cores K` before first
 /// use. Prints a single `MCPROBE` line for the parent to parse.
-fn run_multicore_probe(args: &[String]) -> ! {
-    let mut quick = false;
-    let mut cores: Option<usize> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => quick = true,
-            "--cores" => {
-                i += 1;
-                cores = Some(args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage()));
-            }
-            _ => usage(),
-        }
-        i += 1;
-    }
-    let k = cores.unwrap_or_else(|| usage());
+fn run_multicore_probe(flags: &BenchFlags) -> ! {
+    let k = flags.number("--cores").unwrap_or_else(|| usage());
     if !funseeker_pool::configure_global(k) && funseeker_pool::global().workers() != k {
         eprintln!("multicore-probe: pool already running at a different width");
         std::process::exit(1);
     }
-    let point = funseeker_eval::multicore::probe(quick);
-    println!("{}", funseeker_eval::multicore::probe_line(&point));
+    println!("{}", multicore::probe_line(&multicore::probe(flags.quick)));
     std::process::exit(0)
 }
 
@@ -404,39 +215,29 @@ fn main() {
         usage();
     }
     let what = args[0].clone();
-    if what == "perf" {
-        // Perf builds its own deterministic tiled input — skip the
-        // corpus generation below entirely.
-        run_perf(&args[1..]);
-    }
-    if what == "batch" {
-        // Likewise: batch builds its own duplicated corpus.
-        run_batch(&args[1..]);
-    }
-    if what == "analyze" {
-        // Likewise: the shared-plan bench reuses the batch benchmark
-        // corpus (distinct images only).
-        run_analyze(&args[1..]);
-    }
-    if what == "callgraph" {
-        // Likewise: the call-graph evaluation owns its corpus.
-        run_callgraph(&args[1..]);
-    }
-    if what == "serve" {
-        // Likewise: the load test reuses the batch benchmark corpus.
-        run_serve(&args[1..]);
-    }
-    if what == "io" {
-        // Likewise: the I/O path bench reuses the batch benchmark corpus.
-        run_io(&args[1..]);
-    }
-    if what == "multicore" {
-        // Likewise: the scaling bench reuses the perf tiled text and
-        // the batch benchmark corpus.
-        run_multicore(&args[1..]);
-    }
-    if what == "multicore-probe" {
-        run_multicore_probe(&args[1..]);
+    // The benchmark subcommands build their own inputs: none of them
+    // needs the corpus generated below.
+    let rest = &args[1..];
+    let flags = |value_flags: &[&str]| BenchFlags::parse(rest, value_flags);
+    match what.as_str() {
+        "perf" => run_bench(&flags(BENCH_FLAGS), "perf", perf::run),
+        "batch" => {
+            let flags = flags(&["--corpus-scale", "--json", "--label", "--check"]);
+            if let Some(scale) = flags.number("--corpus-scale") {
+                run_corpus_scale(&flags, scale);
+            }
+            run_bench(&flags, "batch", batch::run)
+        }
+        "analyze" => run_bench(&flags(BENCH_FLAGS), "analyze", analyze::run),
+        "callgraph" => run_bench(&flags(BENCH_FLAGS), "callgraph", callgraph::run),
+        "serve" => run_bench(&flags(BENCH_FLAGS), "serve", serve::run),
+        "io" => run_bench(&flags(BENCH_FLAGS), "io", io::run),
+        "multicore" => {
+            let value_flags = ["--cores", "--json-sweep", "--json-batch", "--label", "--check"];
+            run_multicore(&flags(&value_flags))
+        }
+        "multicore-probe" => run_multicore_probe(&flags(&["--cores"])),
+        _ => {}
     }
     let mut seed = 2022u64; // the paper's year, for a stable default
     let mut scale = "default".to_owned();

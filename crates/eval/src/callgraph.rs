@@ -18,14 +18,13 @@ use std::time::Instant;
 use funseeker::{build_call_graph, build_cfgs, prepare_with_stream, FunSeeker};
 use funseeker_corpus::{BuildConfig, Dataset, DatasetParams};
 
+use crate::bench::{self, Entry, Host, Report, Row, Value};
 use crate::metrics::Score;
+use crate::report::Table;
 
 /// Seed for the evaluation corpus — fixed so every run scores the same
 /// binaries.
 const SEED: u64 = 0xCA11;
-
-/// Trajectory schema tag — entries append to `BENCH_sweep.json`.
-const SCHEMA: &str = "funseeker-bench-sweep-v1";
 
 /// The acceptance floor for direct call-edge precision.
 pub const MIN_DIRECT_PRECISION: f64 = 0.95;
@@ -61,7 +60,7 @@ pub struct CallGraphReport {
     pub mb_per_s: f64,
     /// Execution environment of the run (pool width, host cores,
     /// kernel tier).
-    pub host: crate::host::Host,
+    pub host: Host,
 }
 
 /// Scores a recovered pair-set against the ground-truth pair-set.
@@ -94,7 +93,7 @@ pub fn run(quick: bool) -> CallGraphReport {
         ms: 0.0,
         sd_ms: 0.0,
         mb_per_s: 0.0,
-        host: crate::host::host(),
+        host: bench::host(),
     };
 
     // Prepare every binary once; both scoring and timing reuse the
@@ -135,138 +134,95 @@ pub fn run(quick: bool) -> CallGraphReport {
         }
         samples.push(t.elapsed().as_secs_f64());
     }
-    let (best, sd) = crate::variance::best_and_sd(&samples);
+    let (best, sd) = bench::best_and_sd(&samples);
     report.ms = best * 1e3;
     report.sd_ms = sd * 1e3;
     report.mb_per_s = report.bytes as f64 / (1024.0 * 1024.0) / best;
     report
 }
 
-impl CallGraphReport {
-    /// Human-readable summary.
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        s.push_str(&format!(
-            "{} binaries, {} blocks, {} CFG edges, best of {} runs\n\n",
-            self.binaries, self.blocks, self.cfg_edges, self.reps
-        ));
-        s.push_str(&format!(
-            "{:<8} {:>6} {:>6} {:>6} {:>10} {:>8} {:>8}\n",
-            "edges", "tp", "fp", "fn", "precision", "recall", "f1"
-        ));
-        for (name, score) in [("direct", self.direct), ("tail", self.tail)] {
-            s.push_str(&format!(
-                "{:<8} {:>6} {:>6} {:>6} {:>9.1}% {:>7.1}% {:>7.1}%\n",
-                name,
-                score.tp,
-                score.fp,
-                score.fn_,
-                score.precision() * 100.0,
-                score.recall() * 100.0,
-                score.f1() * 100.0,
-            ));
+impl Report for CallGraphReport {
+    const SCHEMA: &'static str = bench::SWEEP;
+    const DOING: &'static str = "scoring call-graph recovery";
+    const TITLE: &'static str = "Call-edge precision/recall and graph-build throughput";
+
+    /// One `callgraph` row in the `BENCH_sweep.json` shape.
+    fn entry(&self) -> Entry {
+        let row = Row::new(
+            "callgraph",
+            vec![
+                ("ms", Value::F3(self.ms)),
+                ("sd_ms", Value::F3(self.sd_ms)),
+                ("mb_per_s", Value::F1(self.mb_per_s)),
+                ("direct_precision", Value::F4(self.direct.precision())),
+                ("direct_recall", Value::F4(self.direct.recall())),
+                ("tail_precision", Value::F4(self.tail.precision())),
+                ("tail_recall", Value::F4(self.tail.recall())),
+                ("blocks", self.blocks.into()),
+                ("cfg_edges", self.cfg_edges.into()),
+            ],
+        );
+        Entry {
+            header: vec![("bytes", self.bytes.into()), ("reps", self.reps.into())],
+            host: self.host.clone(),
+            rows: vec![row],
         }
-        s.push_str(&format!(
-            "\nindirect: {} tracked sites, {} notrack; {} CET-constrained targets\n",
-            self.indirect_sites, self.notrack_sites, self.endbr_targets
-        ));
-        s.push_str(&format!(
-            "graph build: {:.2} ms ±{:.2} ({:.1} MB/s over {:.2} MiB of text)\n",
+    }
+
+    fn render(&self) -> String {
+        let mut t = Table::new(["edges", "tp", "fp", "fn", "precision", "recall", "f1"]);
+        for (name, score) in [("direct", self.direct), ("tail", self.tail)] {
+            let pct = |v: f64| format!("{:.1}%", v * 100.0);
+            t.row([
+                name.to_owned(),
+                score.tp.to_string(),
+                score.fp.to_string(),
+                score.fn_.to_string(),
+                pct(score.precision()),
+                pct(score.recall()),
+                pct(score.f1()),
+            ]);
+        }
+        format!(
+            "{} binaries, {} blocks, {} CFG edges, best of {} runs\n\n{}\nindirect: {} tracked \
+             sites, {} notrack; {} CET-constrained targets\ngraph build: {:.2} ms ±{:.2} ({:.1} \
+             MB/s over {:.2} MiB of text)\n",
+            self.binaries,
+            self.blocks,
+            self.cfg_edges,
+            self.reps,
+            t.render(),
+            self.indirect_sites,
+            self.notrack_sites,
+            self.endbr_targets,
             self.ms,
             self.sd_ms,
             self.mb_per_s,
             self.bytes as f64 / (1024.0 * 1024.0),
-        ));
-        s
-    }
-
-    /// The trajectory entry for this run — a `callgraph` row in the
-    /// `BENCH_sweep.json` shape.
-    pub fn json_entry(&self, label: &str) -> String {
-        format!(
-            "    {{\"label\": {:?}, \"bytes\": {}, \"reps\": {}, {}, \"rows\": [\n      \
-             {{\"config\": \"callgraph\", \"ms\": {:.3}, \"sd_ms\": {:.3}, \"mb_per_s\": {:.1}, \
-             \"direct_precision\": {:.4}, \"direct_recall\": {:.4}, \"tail_precision\": {:.4}, \
-             \"tail_recall\": {:.4}, \"blocks\": {}, \"cfg_edges\": {}}}\n    ]}}",
-            label,
-            self.bytes,
-            self.reps,
-            self.host.json_fields(),
-            self.ms,
-            self.sd_ms,
-            self.mb_per_s,
-            self.direct.precision(),
-            self.direct.recall(),
-            self.tail.precision(),
-            self.tail.recall(),
-            self.blocks,
-            self.cfg_edges,
         )
     }
 
-    /// Appends this run as a new entry to an existing `BENCH_sweep.json`
-    /// document (or starts a fresh one).
-    pub fn append_to_document(&self, existing: Option<&str>, label: &str) -> String {
-        crate::trajectory::append_entry(existing, SCHEMA, self.json_entry(label))
-    }
-}
-
-/// CI gate: the fresh run must clear the direct-precision floor
-/// ([`MIN_DIRECT_PRECISION`]) and its graph-build throughput must stay
-/// within `min_ratio` of the newest committed `callgraph` entry
-/// (noise-tolerance-widened, as in [`crate::perf::check_against`]).
-pub fn check_against(
-    committed: &str,
-    fresh: &CallGraphReport,
-    min_ratio: f64,
-) -> Result<String, String> {
-    if fresh.direct.precision() < MIN_DIRECT_PRECISION {
-        return Err(format!(
-            "direct call-edge precision {:.2}% below the {:.0}% floor",
-            fresh.direct.precision() * 100.0,
-            MIN_DIRECT_PRECISION * 100.0,
-        ));
-    }
-    let Some(baseline) = crate::trajectory::last_value(committed, "callgraph", "mb_per_s") else {
-        return Err("committed trajectory has no callgraph entry".into());
-    };
-    let committed_cores = crate::trajectory::last_row_meta(committed, "callgraph", "cores_used");
-    if !fresh.host.comparable_with(committed_cores) {
-        return Ok(format!(
-            "direct precision {:.1}% passes; throughput skipped: committed callgraph entry was \
-             measured with {} cores, this run uses {} — not comparable",
-            fresh.direct.precision() * 100.0,
-            committed_cores.unwrap_or(0.0),
-            fresh.host.cores_used
-        ));
-    }
-    let rel_committed = crate::trajectory::last_value(committed, "callgraph", "sd_ms")
-        .zip(crate::trajectory::last_value(committed, "callgraph", "ms"))
-        .map_or(0.0, |(sd, ms)| if ms > 0.0 { sd / ms } else { 0.0 });
-    let rel_fresh = if fresh.ms > 0.0 { fresh.sd_ms / fresh.ms } else { 0.0 };
-    let tol = crate::variance::noise_tolerance(rel_committed, rel_fresh);
-    let threshold = min_ratio * (1.0 - tol);
-    let ratio = fresh.mb_per_s / baseline;
-    let msg = format!(
-        "direct precision {:.1}%; graph build {:.1} MB/s vs committed {:.1} MB/s \
-         ({:.0}% of baseline, threshold {:.0}% incl. {:.0}% noise tolerance)",
-        fresh.direct.precision() * 100.0,
-        fresh.mb_per_s,
-        baseline,
-        ratio * 100.0,
-        threshold * 100.0,
-        tol * 100.0,
-    );
-    if ratio < threshold {
-        Err(msg)
-    } else {
-        Ok(msg)
+    /// Fails below the direct-precision floor
+    /// ([`MIN_DIRECT_PRECISION`]), then gates graph-build throughput
+    /// against the newest committed `callgraph` entry.
+    fn check(&self, committed: &str, min_ratio: f64) -> Result<String, String> {
+        let precision = self.direct.precision();
+        if precision < MIN_DIRECT_PRECISION {
+            return Err(format!(
+                "direct call-edge precision {:.2}% below the {:.0}% floor",
+                precision * 100.0,
+                MIN_DIRECT_PRECISION * 100.0,
+            ));
+        }
+        bench::ratio_gate(committed, &self.entry(), "callgraph", "mb_per_s", min_ratio)
+            .map(|msg| format!("direct precision {:.1}%; {msg}", precision * 100.0))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bench::Gated;
 
     fn fake_report() -> CallGraphReport {
         CallGraphReport {
@@ -283,35 +239,37 @@ mod tests {
             ms: 4.0,
             sd_ms: 0.1,
             mb_per_s: 250.0,
-            host: crate::host::host(),
+            host: bench::host(),
+        }
+    }
+
+    impl CallGraphReport {
+        pub(crate) fn fake(g: Gated) -> Self {
+            let mut r = fake_report();
+            r.host.cores_used = g.cores;
+            (r.mb_per_s, r.ms, r.sd_ms) = (g.value, g.ms, g.sd_ms);
+            r
         }
     }
 
     #[test]
-    fn json_entry_appends_to_sweep_trajectory() {
-        let r = fake_report();
-        let doc = r.append_to_document(None, "pre");
-        assert!(doc.contains("funseeker-bench-sweep-v1"));
-        assert_eq!(crate::trajectory::last_value(&doc, "callgraph", "mb_per_s"), Some(250.0));
-        assert_eq!(crate::trajectory::last_value(&doc, "callgraph", "direct_precision"), Some(1.0));
-        // Appending alongside perf entries keeps both readable.
-        let doc2 = r.append_to_document(Some(&doc), "post");
-        assert_eq!(crate::trajectory::extract_entries(&doc2).len(), 2);
+    fn entry_bytes_are_unchanged() {
+        let r = CallGraphReport { host: bench::test_host(), ..fake_report() };
+        assert_eq!(r.entry().write("golden"), GOLDEN);
     }
 
+    const GOLDEN: &str = r#"    {"label": "golden", "bytes": 1048576, "reps": 3, "cores_used": 2, "avail_par": 8, "tier": "avx2", "rows": [
+      {"config": "callgraph", "ms": 4.000, "sd_ms": 0.100, "mb_per_s": 250.0, "direct_precision": 1.0000, "direct_recall": 1.0000, "tail_precision": 1.0000, "tail_recall": 0.7000, "blocks": 300, "cfg_edges": 500}
+    ]}"#;
+
     #[test]
-    fn gate_enforces_precision_floor_and_throughput() {
+    fn precision_below_the_floor_fails_at_full_throughput() {
         let r = fake_report();
-        let doc = r.append_to_document(None, "pre");
-        assert!(check_against(&doc, &r, 0.7).is_ok());
-        // Throughput regression fails.
-        let mut slow = fake_report();
-        slow.mb_per_s = 100.0;
-        assert!(check_against(&doc, &slow, 0.7).is_err());
-        // Precision below the floor fails even at full throughput.
+        let doc = r.append_to(None, "pre");
+        assert!(r.check(&doc, 0.7).is_ok());
         let mut sloppy = fake_report();
         sloppy.direct = Score { tp: 90, fp: 10, fn_: 0 };
-        let err = check_against(&doc, &sloppy, 0.7).unwrap_err();
+        let err = sloppy.check(&doc, 0.7).unwrap_err();
         assert!(err.contains("precision"), "{err}");
     }
 

@@ -1,23 +1,21 @@
 //! Zero-copy I/O path measurement — the `experiments -- io`
 //! subcommand.
 //!
-//! Quantifies the three legs of the zero-copy path introduced with the
-//! `FSC3` cache format (DESIGN.md §7):
+//! Quantifies the legs of the zero-copy path introduced with the `FSC3`
+//! cache format (DESIGN.md §7):
 //!
 //! | row | what it measures |
 //! |---|---|
 //! | `ingest_mmap` | cold ingestion via memory-mapped [`Image`]s: map + content-hash every corpus file (MB/s) |
 //! | `ingest_read` | the same files through the buffered `fs::read` fallback (MB/s) |
 //! | `decode_v3` | decoding `FSC3` binary cache records back into `Analysis` values (records/s) |
-//! | `decode_v2` | the retired line-oriented v2 text codec on the same analyses (records/s) |
 //! | `io_serve_dup` | a duplicate-heavy daemon barrage where every repeat reply is a memcpy of the cached pre-encoded record (req/s) |
 //!
 //! Every decoded analysis and every daemon reply is checked
 //! bit-identical to the direct computation before it counts. Results
-//! append to `BENCH_io.json` (same line-oriented trajectory format as
-//! `BENCH_sweep.json`); `--check` gates CI on the newest committed
-//! `decode_v3` throughput and on the in-run invariant that the v3
-//! decoder is not slower than the v2 one.
+//! append to the `BENCH_io.json` trajectory; `--check` gates CI on the
+//! newest committed `decode_v3` throughput. Older entries also carry a
+//! `decode_v2` row: the retired v2 text codec, since deleted.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -28,16 +26,13 @@ use funseeker_elf::Image;
 use funseeker_server::{Server, ServerConfig};
 
 use crate::batch::peak_rss_kb;
-use crate::trajectory;
-
-/// Trajectory schema tag for `BENCH_io.json`.
-pub(crate) const SCHEMA: &str = "funseeker-bench-io-v1";
+use crate::bench::{self, Entry, Host, Report, Row, Value};
 
 /// One measured leg of the I/O path.
 #[derive(Debug, Clone)]
 pub struct IoRow {
     /// Row name (`ingest_mmap`, `ingest_read`, `decode_v3`,
-    /// `decode_v2`, `io_serve_dup`).
+    /// `io_serve_dup`).
     pub label: String,
     /// Best-of-N wall time in milliseconds.
     pub ms: f64,
@@ -66,7 +61,7 @@ pub struct IoReport {
     /// `VmHWM` of the process at the end, KiB.
     pub peak_rss_kb: u64,
     /// Execution environment of the run.
-    pub host: crate::host::Host,
+    pub host: Host,
     /// Measured rows.
     pub rows: Vec<IoRow>,
 }
@@ -97,7 +92,7 @@ pub fn run(quick: bool) -> IoReport {
 
     let mut rows: Vec<IoRow> = Vec::new();
     let mut push = |label: &str, samples: &[f64], per_s_of: f64, unit: &'static str, aux: f64| {
-        let (best_s, sd_s) = crate::variance::best_and_sd(samples);
+        let (best_s, sd_s) = bench::best_and_sd(samples);
         rows.push(IoRow {
             label: label.to_owned(),
             ms: best_s * 1e3,
@@ -155,44 +150,27 @@ pub fn run(quick: bool) -> IoReport {
     push("ingest_read", &samples, mb, "MB/s", 0.0);
     let _ = std::fs::remove_dir_all(&dir);
 
-    // ---- codec: the same analyses through both record formats,
-    // decode verified bit-identical to the original.
+    // ---- codec: the same analyses as v3 records, decode verified
+    // bit-identical to the original.
     let fp = cache::config_fingerprint(&config);
-    let keyed: Vec<(u64, &[u8], &Analysis)> =
-        distinct.iter().map(|&(img, a)| (hash_bytes(img), img, a)).collect();
-    let v3: Vec<(u64, Vec<u8>)> = keyed
+    let v3: Vec<(u64, Vec<u8>, &Analysis)> = distinct
         .iter()
-        .map(|&(h, _, a)| (mix64(h, fp), cache::encode(h, fp, a).expect("corpus analyses encode")))
-        .collect();
-    let v2: Vec<(u64, String)> = keyed
-        .iter()
-        .map(|&(h, _, a)| {
-            let key = mix64(h, fp);
-            (key, cache::serialize_v2(key, a).expect("corpus analyses serialize"))
+        .map(|&(img, a)| {
+            let h = hash_bytes(img);
+            (mix64(h, fp), cache::encode(h, fp, a).expect("corpus analyses encode"), a)
         })
         .collect();
 
     let mut samples = Vec::with_capacity(reps);
     for _ in 0..reps {
         let t = Instant::now();
-        for ((key, record), &(_, _, a)) in v3.iter().zip(&keyed) {
+        for (key, record, a) in &v3 {
             let decoded = cache::decode(*key, record).expect("round trip");
-            assert_eq!(&decoded, a, "v3 decode diverged");
+            assert_eq!(&decoded, *a, "v3 decode diverged");
         }
         samples.push(t.elapsed().as_secs_f64());
     }
     push("decode_v3", &samples, v3.len() as f64, "records/s", 0.0);
-
-    let mut samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t = Instant::now();
-        for ((key, text), &(_, _, a)) in v2.iter().zip(&keyed) {
-            let decoded = cache::deserialize_v2(*key, text).expect("round trip");
-            assert_eq!(&decoded, a, "v2 decode diverged");
-        }
-        samples.push(t.elapsed().as_secs_f64());
-    }
-    push("decode_v2", &samples, v2.len() as f64, "records/s", 0.0);
 
     // ---- serving: duplicate-heavy traffic, where after the first
     // computation every reply body is a memcpy of the cached
@@ -229,140 +207,63 @@ pub fn run(quick: bool) -> IoReport {
         total_bytes,
         reps,
         peak_rss_kb: peak_rss_kb(),
-        host: crate::host::host(),
+        host: bench::host(),
         rows,
     }
 }
 
-impl IoReport {
-    /// Human-readable report.
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        s.push_str(&format!(
-            "corpus: {} distinct binaries ({:.1} MB), best of {} reps, peak RSS {:.1} MiB\n\n",
+impl Report for IoReport {
+    const SCHEMA: &'static str = bench::IO;
+    const DOING: &'static str = "measuring the zero-copy I/O path";
+    const TITLE: &'static str = "Zero-copy I/O path";
+
+    fn entry(&self) -> Entry {
+        let rows = self.rows.iter().map(|r| {
+            Row::new(
+                &r.label,
+                vec![
+                    ("ms", Value::F3(r.ms)),
+                    ("sd_ms", Value::F3(r.sd_ms)),
+                    ("rate", Value::F1(r.rate)),
+                    ("unit", r.unit.into()),
+                    ("aux", Value::F4(r.aux)),
+                ],
+            )
+        });
+        Entry {
+            header: vec![
+                ("binaries", self.binaries.into()),
+                ("total_bytes", self.total_bytes.into()),
+                ("reps", self.reps.into()),
+                ("peak_rss_kb", self.peak_rss_kb.into()),
+            ],
+            host: self.host.clone(),
+            rows: rows.collect(),
+        }
+    }
+
+    fn render(&self) -> String {
+        format!(
+            "corpus: {} distinct binaries ({:.1} MB), best of {} reps, peak RSS {:.1} MiB\n\n{}",
             self.binaries,
             self.total_bytes as f64 / 1e6,
             self.reps,
             self.peak_rss_kb as f64 / 1024.0,
-        ));
-        s.push_str(&format!(
-            "{:<14} {:>10} {:>8} {:>12} {:<10} {:>8}\n",
-            "row", "ms", "±sd", "rate", "unit", "aux"
-        ));
-        for r in &self.rows {
-            s.push_str(&format!(
-                "{:<14} {:>10.2} {:>8.2} {:>12.1} {:<10} {:>7.0}%\n",
-                r.label,
-                r.ms,
-                r.sd_ms,
-                r.rate,
-                r.unit,
-                r.aux * 100.0,
-            ));
-        }
-        s
+            self.entry().table().render(),
+        )
     }
 
-    /// The trajectory entry for this run, as a JSON object literal.
-    pub fn json_entry(&self, label: &str) -> String {
-        let mut s = String::new();
-        s.push_str(&format!(
-            "    {{\"label\": {:?}, \"binaries\": {}, \"total_bytes\": {}, \"reps\": {}, \
-             \"peak_rss_kb\": {}, {}, \"rows\": [\n",
-            label,
-            self.binaries,
-            self.total_bytes,
-            self.reps,
-            self.peak_rss_kb,
-            self.host.json_fields()
-        ));
-        for (i, r) in self.rows.iter().enumerate() {
-            s.push_str(&format!(
-                "      {{\"config\": {:?}, \"ms\": {:.3}, \"sd_ms\": {:.3}, \"rate\": {:.1}, \
-                 \"unit\": {:?}, \"aux\": {:.4}}}{}\n",
-                r.label,
-                r.ms,
-                r.sd_ms,
-                r.rate,
-                r.unit,
-                r.aux,
-                if i + 1 < self.rows.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("    ]}");
-        s
-    }
-
-    /// Appends this run as a new entry to an existing `BENCH_io.json`
-    /// document (or starts a fresh one).
-    pub fn append_to_document(&self, existing: Option<&str>, label: &str) -> String {
-        trajectory::append_entry(existing, SCHEMA, self.json_entry(label))
-    }
-}
-
-/// CI regression gate: the fresh `decode_v3` throughput must reach
-/// `min_ratio` of the newest committed entry (noise-widened, and
-/// skipped when the committed entry ran on a different core count), and
-/// — unconditionally — the v3 decoder must not be slower than the v2
-/// codec it replaced.
-pub fn check_against(committed: &str, fresh: &IoReport, min_ratio: f64) -> Result<String, String> {
-    let v3 = fresh
-        .rows
-        .iter()
-        .find(|r| r.label == "decode_v3")
-        .ok_or("fresh measurement has no decode_v3 row")?;
-    let v2 = fresh
-        .rows
-        .iter()
-        .find(|r| r.label == "decode_v2")
-        .ok_or("fresh measurement has no decode_v2 row")?;
-    if v3.rate < v2.rate {
-        return Err(format!(
-            "v3 decode ({:.1} records/s) is slower than the v2 codec it replaced \
-             ({:.1} records/s)",
-            v3.rate, v2.rate
-        ));
-    }
-    let Some(baseline) = trajectory::last_value(committed, "decode_v3", "rate") else {
-        return Err("committed BENCH_io.json has no decode_v3 entry".into());
-    };
-    let committed_cores = trajectory::last_row_meta(committed, "decode_v3", "cores_used");
-    if !fresh.host.comparable_with(committed_cores) {
-        return Ok(format!(
-            "v3 {:.1}x the v2 codec; baseline skipped: committed decode_v3 entry was measured \
-             with {} cores, this run uses {} — not comparable",
-            v3.rate / v2.rate,
-            committed_cores.unwrap_or(0.0),
-            fresh.host.cores_used
-        ));
-    }
-    let rel_committed = trajectory::last_value(committed, "decode_v3", "sd_ms")
-        .zip(trajectory::last_value(committed, "decode_v3", "ms"))
-        .map_or(0.0, |(sd, ms)| if ms > 0.0 { sd / ms } else { 0.0 });
-    let rel_fresh = if v3.ms > 0.0 { v3.sd_ms / v3.ms } else { 0.0 };
-    let tol = crate::variance::noise_tolerance(rel_committed, rel_fresh);
-    let threshold = min_ratio * (1.0 - tol);
-    let ratio = v3.rate / baseline;
-    let msg = format!(
-        "v3 decode: {:.1} records/s vs committed {:.1} records/s ({:.0}% of baseline, threshold \
-         {:.0}% incl. {:.0}% noise tolerance); {:.1}x the v2 codec",
-        v3.rate,
-        baseline,
-        ratio * 100.0,
-        threshold * 100.0,
-        tol * 100.0,
-        v3.rate / v2.rate,
-    );
-    if ratio < threshold {
-        Err(msg)
-    } else {
-        Ok(msg)
+    /// Gates `decode_v3` throughput (records/s) against the newest
+    /// committed entry.
+    fn check(&self, committed: &str, min_ratio: f64) -> Result<String, String> {
+        bench::ratio_gate(committed, &self.entry(), "decode_v3", "rate", min_ratio)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bench::Gated;
 
     fn fake_report() -> IoReport {
         let row = |label: &str, rate: f64, unit: &'static str| IoRow {
@@ -378,40 +279,38 @@ mod tests {
             total_bytes: 5_000_000,
             reps: 2,
             peak_rss_kb: 80_000,
-            host: crate::host::host(),
+            host: bench::host(),
             rows: vec![
                 row("ingest_mmap", 900.0, "MB/s"),
                 row("ingest_read", 600.0, "MB/s"),
                 row("decode_v3", 50_000.0, "records/s"),
-                row("decode_v2", 9_000.0, "records/s"),
                 row("io_serve_dup", 12_000.0, "req/s"),
             ],
         }
     }
 
-    #[test]
-    fn json_round_trip_and_gate() {
-        let r = fake_report();
-        let doc = r.append_to_document(None, "pre");
-        assert!(doc.contains(SCHEMA));
-        assert_eq!(trajectory::last_value(&doc, "decode_v3", "rate"), Some(50_000.0));
-        assert_eq!(trajectory::last_value(&doc, "ingest_mmap", "rate"), Some(900.0));
-        assert!(check_against(&doc, &r, 0.7).is_ok());
-        // A regression below threshold fails the gate.
-        let mut slow = fake_report();
-        slow.rows[2].rate = 10_000.0;
-        assert!(check_against(&doc, &slow, 0.7).is_err());
-        // v3 slower than v2 fails even when the baseline would pass.
-        let mut inverted = fake_report();
-        inverted.rows[2].rate = 8_000.0;
-        inverted.rows[3].rate = 9_000.0;
-        assert!(check_against(&doc, &inverted, 0.0).is_err());
-        // Newest entry is authoritative after an append.
-        let mut faster = fake_report();
-        faster.rows[2].rate = 60_000.0;
-        let doc2 = faster.append_to_document(Some(&doc), "post");
-        assert_eq!(trajectory::last_value(&doc2, "decode_v3", "rate"), Some(60_000.0));
+    impl IoReport {
+        pub(crate) fn fake(g: Gated) -> Self {
+            let mut r = fake_report();
+            r.host.cores_used = g.cores;
+            let v3 = &mut r.rows[2];
+            (v3.rate, v3.ms, v3.sd_ms) = (g.value, g.ms, g.sd_ms);
+            r
+        }
     }
+
+    #[test]
+    fn entry_bytes_are_unchanged() {
+        let r = IoReport { host: bench::test_host(), ..fake_report() };
+        assert_eq!(r.entry().write("golden"), GOLDEN);
+    }
+
+    const GOLDEN: &str = r#"    {"label": "golden", "binaries": 100, "total_bytes": 5000000, "reps": 2, "peak_rss_kb": 80000, "cores_used": 2, "avail_par": 8, "tier": "avx2", "rows": [
+      {"config": "ingest_mmap", "ms": 50.000, "sd_ms": 1.000, "rate": 900.0, "unit": "MB/s", "aux": 0.0000},
+      {"config": "ingest_read", "ms": 50.000, "sd_ms": 1.000, "rate": 600.0, "unit": "MB/s", "aux": 0.0000},
+      {"config": "decode_v3", "ms": 50.000, "sd_ms": 1.000, "rate": 50000.0, "unit": "records/s", "aux": 0.0000},
+      {"config": "io_serve_dup", "ms": 50.000, "sd_ms": 1.000, "rate": 12000.0, "unit": "req/s", "aux": 0.0000}
+    ]}"#;
 
     #[test]
     fn quick_measurement_covers_every_row() {
@@ -423,7 +322,7 @@ mod tests {
                 .find(|r| r.label == label)
                 .unwrap_or_else(|| panic!("row {label} missing"))
         };
-        for label in ["ingest_mmap", "ingest_read", "decode_v3", "decode_v2", "io_serve_dup"] {
+        for label in ["ingest_mmap", "ingest_read", "decode_v3", "io_serve_dup"] {
             assert!(get(label).rate > 0.0, "{label} measured nothing");
         }
         if std::env::var("FUNSEEKER_MMAP").as_deref() != Ok("0") {

@@ -21,6 +21,11 @@
 //! * [`manual_endbr`] — the §VI `-mmanual-endbr` ablation,
 //! * [`robustness`] — hostile-input mutation campaign (extension).
 //!
+//! The benchmark harnesses (`perf`, `batch`, `analyze`, `callgraph`,
+//! `serve`, `io`, `multicore`) only measure; [`bench`](mod@bench) is the one report
+//! layer under them: the trajectory entry writer and reader, the host
+//! stamp, and the `--check` ratio gate.
+//!
 //! Run everything with the `experiments` binary:
 //!
 //! ```text
@@ -33,12 +38,12 @@
 pub mod analyze;
 pub mod arm;
 pub mod batch;
+pub mod bench;
 pub mod by_opt;
 pub mod callgraph;
 pub mod failures;
 pub mod fig3;
 pub mod groundtruth;
-pub mod host;
 pub mod io;
 pub mod manual_endbr;
 pub mod metrics;
@@ -51,8 +56,6 @@ pub mod serve;
 pub mod table1;
 pub mod table2;
 pub mod table3;
-pub mod trajectory;
-pub mod variance;
 
 pub use metrics::Score;
 pub use report::Table;

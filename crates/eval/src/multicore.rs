@@ -33,8 +33,9 @@ use std::time::Instant;
 use funseeker_batch::BatchOptions;
 use funseeker_disasm::{par_sweep, sweep_all};
 
+use crate::bench::{self, Entry, Host, Report, Row, Value};
+use crate::report::Table;
 use crate::serve::ServeRow;
-use crate::trajectory;
 
 /// One rung of the scaling ladder: every throughput measured with the
 /// worker pool fixed at `cores`.
@@ -73,7 +74,7 @@ pub struct MulticoreReport {
     pub reps: usize,
     /// Execution environment of the parent run (pool width = the
     /// ladder's top rung, host cores, kernel tier).
-    pub host: crate::host::Host,
+    pub host: Host,
     /// Measured rungs, ascending by core count.
     pub ladder: Vec<ScalePoint>,
     /// Distinct-heavy serving row measured at the top rung's width
@@ -272,7 +273,7 @@ pub fn run(quick: bool, cores: Option<usize>) -> MulticoreReport {
     MulticoreReport {
         bytes: if quick { 2 << 20 } else { 4 << 20 },
         reps: if quick { 3 } else { 5 },
-        host: crate::host::host(),
+        host: bench::host(),
         ladder: points,
         serve,
     }
@@ -287,198 +288,157 @@ impl MulticoreReport {
         (base > 0.0).then(|| p.morsel_mb_s / (p.cores as f64 * base))
     }
 
-    /// Human-readable scaling table.
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        s.push_str(&format!(
-            "tiled .text: {:.1} MiB, best of {} runs, host offers {} core(s), tier {}\n\n",
-            self.bytes as f64 / (1024.0 * 1024.0),
-            self.reps,
-            self.host.available_parallelism,
-            self.host.tier,
+    /// The aggregate-throughput entry (`BENCH_batch.json` schema): one
+    /// `mc{K}` row per rung plus the serving row.
+    pub fn batch_entry(&self) -> Entry {
+        let mut rows: Vec<Row> = self
+            .ladder
+            .iter()
+            .map(|p| {
+                let fields =
+                    vec![("cores", p.cores.into()), ("bins_per_s", Value::F1(p.bins_per_s))];
+                Row::new(format!("mc{}", p.cores), fields)
+            })
+            .collect();
+        rows.push(Row::new(
+            "mc_serve_distinct",
+            vec![
+                ("req_per_s", Value::F1(self.serve.req_per_s)),
+                ("p50_us", self.serve.p50_us.into()),
+                ("p99_us", self.serve.p99_us.into()),
+                ("busy", self.serve.busy.into()),
+                ("requests", self.serve.requests.into()),
+            ],
         ));
-        s.push_str(&format!(
-            "{:<7} {:>10} {:>12} {:>7} {:>9} {:>11} {:>10}\n",
-            "cores", "seq MB/s", "morsel MB/s", "shards", "speedup", "efficiency", "bins/s"
-        ));
+        Entry { header: vec![("reps", self.reps.into())], host: self.host.clone(), rows }
+    }
+}
+
+impl Report for MulticoreReport {
+    const SCHEMA: &'static str = bench::SWEEP;
+    const DOING: &'static str = "measuring multi-core scaling";
+    const TITLE: &'static str = "Multi-core scaling";
+
+    /// The sweep-scaling entry: one `mc{K}` row per rung, `mb_per_s`
+    /// carrying the morsel throughput.
+    fn entry(&self) -> Entry {
+        let rows = self.ladder.iter().map(|p| {
+            Row::new(
+                format!("mc{}", p.cores),
+                vec![
+                    ("cores", p.cores.into()),
+                    ("mb_per_s", Value::F1(p.morsel_mb_s)),
+                    ("seq_mb_per_s", Value::F1(p.seq_mb_s)),
+                    ("shards", p.shards.into()),
+                    ("efficiency", Value::F3(self.efficiency(p).unwrap_or(0.0))),
+                ],
+            )
+        });
+        Entry {
+            header: vec![("bytes", self.bytes.into()), ("reps", self.reps.into())],
+            host: self.host.clone(),
+            rows: rows.collect(),
+        }
+    }
+
+    fn render(&self) -> String {
+        let mut t = Table::new([
+            "cores",
+            "seq MB/s",
+            "morsel MB/s",
+            "shards",
+            "speedup",
+            "efficiency",
+            "bins/s",
+        ]);
         for p in &self.ladder {
             let speedup = if p.seq_mb_s > 0.0 { p.morsel_mb_s / p.seq_mb_s } else { 0.0 };
             let eff = self
                 .efficiency(p)
                 .map_or_else(|| "n/a".to_owned(), |e| format!("{:.0}%", e * 100.0));
-            s.push_str(&format!(
-                "{:<7} {:>10.1} {:>12.1} {:>7} {:>8.2}x {:>11} {:>10.1}\n",
-                p.cores, p.seq_mb_s, p.morsel_mb_s, p.shards, speedup, eff, p.bins_per_s,
-            ));
+            t.row([
+                p.cores.to_string(),
+                format!("{:.1}", p.seq_mb_s),
+                format!("{:.1}", p.morsel_mb_s),
+                p.shards.to_string(),
+                format!("{speedup:.2}x"),
+                eff,
+                format!("{:.1}", p.bins_per_s),
+            ]);
         }
-        s.push_str(&format!(
-            "\nserving (distinct-heavy, {} requests): {:.1} req/s, p50 {} µs, p99 {} µs, \
-             {} busy\n",
+        format!(
+            "tiled .text: {:.1} MiB, best of {} runs, host offers {} core(s), tier {}\n\n{}\n\
+             serving (distinct-heavy, {} requests): {:.1} req/s, p50 {} µs, p99 {} µs, {} busy\n",
+            self.bytes as f64 / (1024.0 * 1024.0),
+            self.reps,
+            self.host.available_parallelism,
+            self.host.tier,
+            t.render(),
             self.serve.requests,
             self.serve.req_per_s,
             self.serve.p50_us,
             self.serve.p99_us,
             self.serve.busy,
-        ));
-        s
+        )
     }
 
-    /// The sweep-scaling trajectory entry (`BENCH_sweep.json` schema):
-    /// one `mc{K}` row per rung, `mb_per_s` carrying the morsel
-    /// throughput so the standard parser finds it.
-    pub fn sweep_json_entry(&self, label: &str) -> String {
-        let mut s = String::new();
-        s.push_str(&format!(
-            "    {{\"label\": {:?}, \"bytes\": {}, \"reps\": {}, {}, \"rows\": [\n",
-            label,
-            self.bytes,
-            self.reps,
-            self.host.json_fields()
-        ));
-        for (i, p) in self.ladder.iter().enumerate() {
-            s.push_str(&format!(
-                "      {{\"config\": \"mc{}\", \"cores\": {}, \"mb_per_s\": {:.1}, \
-                 \"seq_mb_per_s\": {:.1}, \"shards\": {}, \"efficiency\": {:.3}}}{}\n",
-                p.cores,
-                p.cores,
-                p.morsel_mb_s,
-                p.seq_mb_s,
-                p.shards,
-                self.efficiency(p).unwrap_or(0.0),
-                if i + 1 < self.ladder.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("    ]}");
-        s
-    }
-
-    /// The aggregate-throughput trajectory entry (`BENCH_batch.json`
-    /// schema): one `mc{K}` row per rung plus the serving row.
-    pub fn batch_json_entry(&self, label: &str) -> String {
-        let mut s = String::new();
-        s.push_str(&format!(
-            "    {{\"label\": {:?}, \"reps\": {}, {}, \"rows\": [\n",
-            label,
-            self.reps,
-            self.host.json_fields()
-        ));
-        for p in &self.ladder {
-            s.push_str(&format!(
-                "      {{\"config\": \"mc{}\", \"cores\": {}, \"bins_per_s\": {:.1}}},\n",
-                p.cores, p.cores, p.bins_per_s,
-            ));
-        }
-        s.push_str(&format!(
-            "      {{\"config\": \"mc_serve_distinct\", \"req_per_s\": {:.1}, \"p50_us\": {}, \
-             \"p99_us\": {}, \"busy\": {}, \"requests\": {}}}\n",
-            self.serve.req_per_s,
-            self.serve.p50_us,
-            self.serve.p99_us,
-            self.serve.busy,
-            self.serve.requests,
-        ));
-        s.push_str("    ]}");
-        s
-    }
-
-    /// Appends this run to an existing `BENCH_sweep.json` document (or
-    /// starts a fresh one).
-    pub fn append_to_sweep_document(&self, existing: Option<&str>, label: &str) -> String {
-        trajectory::append_entry(existing, crate::perf::SCHEMA, self.sweep_json_entry(label))
-    }
-
-    /// Appends this run to an existing `BENCH_batch.json` document (or
-    /// starts a fresh one).
-    pub fn append_to_batch_document(&self, existing: Option<&str>, label: &str) -> String {
-        trajectory::append_entry(existing, crate::batch::SCHEMA, self.batch_json_entry(label))
-    }
-}
-
-/// CI regression gate over the fresh scaling run.
-///
-/// * Every rung must have produced a bit-identical stream.
-/// * Every ≥2-core rung's morsel sweep must at least match its own
-///   sequential sweep (95 % floor for timer noise) — "sharded slower
-///   than sequential on a multi-core host" is the regression this
-///   bench exists to catch. The comparison reads the rung's median
-///   per-pair ratio, not its best-of rows.
-/// * The top rung's morsel throughput is compared against the newest
-///   committed `mc{K}` row at the same core count, noise-free 70 %
-///   floor; mismatched or absent committed entries skip that part.
-/// * On a 1-core ladder the scaling comparison is vacuous; the gate
-///   instead verifies the sequential fallback engaged (one shard).
-pub fn check_against(
-    committed_sweep: &str,
-    fresh: &MulticoreReport,
-    min_ratio: f64,
-) -> Result<String, String> {
-    if fresh.ladder.is_empty() {
-        return Err("no scaling rungs measured".into());
-    }
-    for p in &fresh.ladder {
-        if !p.identical {
+    /// CI regression gate over the fresh scaling run, against
+    /// `BENCH_sweep.json`.
+    ///
+    /// * Every rung must have produced a bit-identical stream.
+    /// * On a 1-core ladder the scaling comparison is vacuous; the gate
+    ///   instead verifies the sequential fallback engaged (one shard).
+    /// * Every ≥2-core rung's morsel sweep must at least match its own
+    ///   sequential sweep (95 % floor for timer noise) — "sharded slower
+    ///   than sequential on a multi-core host" is the regression this
+    ///   bench exists to catch. The comparison reads the rung's median
+    ///   per-pair ratio, not its best-of rows.
+    /// * The top rung's morsel throughput goes through
+    ///   [`bench::ratio_gate`] against the newest committed `mc{K}` row;
+    ///   the rows record no spread, so the floor is the plain
+    ///   `min_ratio`. A document without the row passes.
+    fn check(&self, committed: &str, min_ratio: f64) -> Result<String, String> {
+        let Some(top) = self.ladder.last() else {
+            return Err("no scaling rungs measured".into());
+        };
+        if let Some(p) = self.ladder.iter().find(|p| !p.identical) {
             return Err(format!("{}-core rung produced a divergent stream", p.cores));
         }
-    }
-    let top = fresh.ladder.last().expect("non-empty ladder");
-
-    if top.cores == 1 {
-        if top.shards != 1 {
-            return Err(format!(
-                "single-core rung dispatched {} shards; the sequential fallback must engage",
-                top.shards
+        if top.cores == 1 {
+            if top.shards != 1 {
+                return Err(format!(
+                    "single-core rung dispatched {} shards; the sequential fallback must engage",
+                    top.shards
+                ));
+            }
+            return Ok(format!(
+                "single-core host: scaling gate skipped; sequential fallback verified \
+                 ({:.1} MB/s seq, {:.1} MB/s via adaptive path)",
+                top.seq_mb_s, top.morsel_mb_s
             ));
         }
-        return Ok(format!(
-            "single-core host: scaling gate skipped; sequential fallback verified \
-             ({:.1} MB/s seq, {:.1} MB/s via adaptive path)",
-            top.seq_mb_s, top.morsel_mb_s
-        ));
-    }
-
-    for p in fresh.ladder.iter().filter(|p| p.cores >= 2) {
-        if p.pair_ratio < 0.95 {
+        if let Some(p) = self.ladder.iter().find(|p| p.cores >= 2 && p.pair_ratio < 0.95) {
             return Err(format!(
                 "{}-core morsel sweep slower than sequential: median pair ratio {:.3} \
                  (best of {:.1} vs {:.1} MB/s)",
                 p.cores, p.pair_ratio, p.morsel_mb_s, p.seq_mb_s
             ));
         }
-    }
-
-    let config = format!("mc{}", top.cores);
-    let committed_cores = trajectory::last_row_meta(committed_sweep, &config, "cores_used");
-    let baseline = trajectory::last_value(committed_sweep, &config, "mb_per_s");
-    match baseline {
-        Some(base) if fresh.host.comparable_with(committed_cores) => {
-            let ratio = top.morsel_mb_s / base;
-            let msg = format!(
-                "{}-core morsel sweep: {:.1} MB/s vs committed {:.1} MB/s ({:.0}% of baseline)",
-                top.cores,
-                top.morsel_mb_s,
-                base,
-                ratio * 100.0
-            );
-            if ratio < min_ratio {
-                Err(msg)
-            } else {
-                Ok(msg)
-            }
+        let config = format!("mc{}", top.cores);
+        if bench::last_value(committed, &config, "mb_per_s").is_none() {
+            return Ok(format!(
+                "scaling invariants hold at {} cores; no committed {config} entry to gate against",
+                top.cores
+            ));
         }
-        Some(_) => Ok(format!(
-            "scaling invariants hold; committed {config} entry was measured at a different \
-             width — baseline comparison skipped"
-        )),
-        None => Ok(format!(
-            "scaling invariants hold at {} cores; no committed {config} entry to gate against",
-            top.cores
-        )),
+        bench::ratio_gate(committed, &self.entry(), &config, "mb_per_s", min_ratio)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bench::Gated;
 
     fn fake_point(cores: usize, seq: f64, morsel: f64, shards: usize) -> ScalePoint {
         ScalePoint {
@@ -504,11 +464,7 @@ mod tests {
         MulticoreReport {
             bytes: 2 << 20,
             reps: 3,
-            host: crate::host::Host {
-                cores_used: top,
-                available_parallelism: top,
-                tier: "swar".into(),
-            },
+            host: Host { cores_used: top, available_parallelism: top, tier: "swar".into() },
             ladder,
             serve: ServeRow {
                 label: "mc_serve_distinct".into(),
@@ -554,79 +510,75 @@ mod tests {
         assert_eq!(super::ladder(6), [1, 2, 4, 6]);
     }
 
-    #[test]
-    fn json_entries_land_in_both_documents() {
-        let r = fake_report(4);
-        let sweep = r.append_to_sweep_document(None, "multicore");
-        assert!(sweep.contains("funseeker-bench-sweep-v1"));
-        assert_eq!(trajectory::last_value(&sweep, "mc4", "mb_per_s"), Some(900.0));
-        assert_eq!(trajectory::last_row_meta(&sweep, "mc4", "cores_used"), Some(4.0));
-        let batch = r.append_to_batch_document(None, "multicore");
-        assert!(batch.contains("funseeker-bench-batch-v1"));
-        assert_eq!(trajectory::last_value(&batch, "mc2", "bins_per_s"), Some(80.0));
-        assert_eq!(trajectory::last_value(&batch, "mc_serve_distinct", "p99_us"), Some(30_000.0));
+    impl MulticoreReport {
+        /// A two-rung ladder whose top rung's morsel sweep reads
+        /// `g.value`; the rows record no spread.
+        pub(crate) fn fake(g: Gated) -> Self {
+            let mut r = fake_report(2);
+            r.host.cores_used = g.cores;
+            r.ladder[1].morsel_mb_s = g.value;
+            r.ladder[1].pair_ratio = 1.0;
+            r
+        }
     }
 
     #[test]
-    fn gate_passes_scaling_and_fails_shard_regression() {
+    fn entry_bytes_are_unchanged() {
         let r = fake_report(4);
-        let doc = r.append_to_sweep_document(None, "multicore");
-        assert!(check_against(&doc, &r, 0.7).is_ok());
+        assert_eq!(r.entry().write("golden"), GOLDEN_SWEEP);
+        assert_eq!(r.batch_entry().write("golden"), GOLDEN_BATCH);
+    }
+
+    const GOLDEN_SWEEP: &str = r#"    {"label": "golden", "bytes": 2097152, "reps": 3, "cores_used": 4, "avail_par": 4, "tier": "swar", "rows": [
+      {"config": "mc1", "cores": 1, "mb_per_s": 248.0, "seq_mb_per_s": 250.0, "shards": 1, "efficiency": 0.992},
+      {"config": "mc2", "cores": 2, "mb_per_s": 450.0, "seq_mb_per_s": 250.0, "shards": 8, "efficiency": 0.900},
+      {"config": "mc4", "cores": 4, "mb_per_s": 900.0, "seq_mb_per_s": 250.0, "shards": 16, "efficiency": 0.900}
+    ]}"#;
+
+    const GOLDEN_BATCH: &str = r#"    {"label": "golden", "reps": 3, "cores_used": 4, "avail_par": 4, "tier": "swar", "rows": [
+      {"config": "mc1", "cores": 1, "bins_per_s": 40.0},
+      {"config": "mc2", "cores": 2, "bins_per_s": 80.0},
+      {"config": "mc4", "cores": 4, "bins_per_s": 160.0},
+      {"config": "mc_serve_distinct", "req_per_s": 533.0, "p50_us": 1500, "p99_us": 30000, "busy": 12, "requests": 64}
+    ]}"#;
+
+    #[test]
+    fn gate_checks_identity_and_pair_ratios() {
+        let r = fake_report(4);
+        let doc = r.append_to(None, "multicore");
+        assert!(r.check(&doc, 0.7).is_ok());
         // A rung where sharding lost to sequential must fail.
         let mut regressed = fake_report(4);
         regressed.ladder[1].morsel_mb_s = 0.5 * regressed.ladder[1].seq_mb_s;
         regressed.ladder[1].pair_ratio = 0.5;
-        assert!(check_against(&doc, &regressed, 0.7).is_err());
+        assert!(regressed.check(&doc, 0.7).is_err());
         // The gate reads the median pair ratio, not the best-of rows: a
         // drift that made the best morsel run look slow passes when the
         // pairs agree…
         let mut drifted = fake_report(4);
         drifted.ladder[1].morsel_mb_s = 0.9 * drifted.ladder[1].seq_mb_s;
         drifted.ladder[1].pair_ratio = 1.02;
-        assert!(check_against(&doc, &drifted, 0.7).is_ok());
+        assert!(drifted.check(&doc, 0.7).is_ok());
         // …and pairs losing to sequential fail under flattering best-ofs.
         let mut lost = fake_report(4);
         lost.ladder[1].pair_ratio = 0.9;
-        let err = check_against(&doc, &lost, 0.7).unwrap_err();
+        let err = lost.check(&doc, 0.7).unwrap_err();
         assert!(err.contains("median pair ratio 0.900"), "{err}");
         // A divergent stream fails regardless of throughput.
         let mut divergent = fake_report(4);
         divergent.ladder[2].identical = false;
-        assert!(check_against(&doc, &divergent, 0.7).is_err());
-        // Big drop vs the committed baseline fails.
-        let mut slow = fake_report(4);
-        for p in &mut slow.ladder {
-            p.morsel_mb_s *= 0.5;
-            p.seq_mb_s *= 0.5;
-        }
-        assert!(check_against(&doc, &slow, 0.7).is_err());
+        assert!(divergent.check(&doc, 0.7).is_err());
     }
 
     #[test]
     fn gate_single_core_verifies_fallback_and_skips_scaling() {
         let r = fake_report(1);
-        let doc = r.append_to_sweep_document(None, "multicore");
-        let msg = check_against(&doc, &r, 0.7).expect("1-core run passes via fallback check");
+        let doc = r.append_to(None, "multicore");
+        let msg = r.check(&doc, 0.7).expect("1-core run passes via fallback check");
         assert!(msg.contains("scaling gate skipped"), "{msg}");
         let mut bad = fake_report(1);
         bad.ladder[0].shards = 3;
-        assert!(check_against(&doc, &bad, 0.7).is_err(), "fallback must engage on 1 core");
-    }
-
-    #[test]
-    fn gate_skips_baseline_on_width_mismatch() {
-        // Committed entry at 4 cores; fresh run at 2 cores with a much
-        // lower absolute number must still pass (invariants hold, the
-        // baseline is not comparable).
-        let wide = fake_report(4);
-        let doc = wide.append_to_sweep_document(None, "multicore");
-        let narrow = fake_report(2);
-        let msg = check_against(&doc, &narrow, 0.7).expect("incomparable baseline must skip");
-        assert!(msg.contains("baseline comparison skipped"), "{msg}");
-        // With no committed entry at all, the gate still passes on the
-        // invariants alone.
-        let msg = check_against("", &narrow, 0.7).expect("no baseline must skip");
-        assert!(msg.contains("no committed mc2 entry"), "{msg}");
+        assert!(bad.check(&doc, 0.7).is_err(), "fallback must engage on 1 core");
     }
 
     #[test]
@@ -645,12 +597,12 @@ mod tests {
         let r = MulticoreReport {
             bytes: 2 << 20,
             reps: 3,
-            host: crate::host::host(),
+            host: bench::host(),
             ladder: vec![p],
             serve: fake_report(1).serve,
         };
         assert!(r.render().contains("cores"));
-        assert!(r.sweep_json_entry("multicore").contains("\"config\": \"mc"));
-        assert!(r.batch_json_entry("multicore").contains("mc_serve_distinct"));
+        assert!(r.entry().write("multicore").contains("\"config\": \"mc"));
+        assert!(r.batch_entry().write("multicore").contains("mc_serve_distinct"));
     }
 }

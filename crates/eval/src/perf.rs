@@ -3,17 +3,10 @@
 //! Builds a deterministic benchmark input (the largest x86-64 GCC binary
 //! of a tiny corpus, its `.text` tiled to a few MiB), times the
 //! sequential and sharded sweeps plus the full `prepare()` pipeline on
-//! it, and reports per-stage counters from [`SweepStats`]. The numbers
-//! can be emitted as a machine-readable JSON *trajectory* file
-//! (`BENCH_sweep.json`): each run appends an entry, so the committed
-//! file records how sweep throughput evolved across changes, and CI can
-//! fail a run whose throughput regresses against the last committed
-//! entry (see [`check_against`]).
-//!
-//! Everything here is hand-rolled line-oriented JSON — the workspace has
-//! no serde — and the parser in [`last_mb_per_s`] only needs to find the
-//! newest `"mb_per_s"` value for a label, so it reads the file as lines,
-//! not as a JSON tree.
+//! it, and reports per-stage counters from [`SweepStats`]. Each run can
+//! append an entry to the `BENCH_sweep.json` trajectory, and `--check`
+//! fails a run whose sequential throughput regresses against the newest
+//! committed entry (through [`crate::bench::ratio_gate`]).
 
 use std::time::Instant;
 
@@ -22,12 +15,12 @@ use funseeker_corpus::{Arch, BuildConfig, Compiler, Dataset, DatasetParams};
 use funseeker_disasm::{par_sweep, sweep_all, Mode, SweepStats};
 use funseeker_elf::Elf;
 
+use crate::bench::{self, Entry, Host, Report, Row, Value};
+use crate::report::Table;
+
 /// Seed for the benchmark corpus — fixed so every run times the same
 /// bytes (shared with the criterion benches' dataset seed).
 const SEED: u64 = 0xBE7C4;
-
-/// Trajectory schema tag for `BENCH_sweep.json`.
-pub(crate) const SCHEMA: &str = "funseeker-bench-sweep-v1";
 
 /// One measured configuration.
 #[derive(Debug, Clone)]
@@ -56,7 +49,7 @@ pub struct PerfReport {
     /// Execution environment of the run (pool width, host cores,
     /// kernel tier) — recorded so trajectories from different hosts are
     /// never gated against each other.
-    pub host: crate::host::Host,
+    pub host: Host,
     /// Core-analyzer per-stage counters: the four Table II
     /// configurations analyzed once each over the benchmark binary.
     pub stage: funseeker::StageStats,
@@ -98,7 +91,7 @@ fn best_of(reps: usize, mut f: impl FnMut() -> SweepStats) -> (f64, f64, SweepSt
         stats = f();
         samples.push(t.elapsed().as_secs_f64());
     }
-    let (best, sd) = crate::variance::best_and_sd(&samples);
+    let (best, sd) = bench::best_and_sd(&samples);
     (best, sd, stats)
 }
 
@@ -166,7 +159,7 @@ pub fn run(quick: bool) -> PerfReport {
         std::hint::black_box(p.sweep_stats().insns);
         samples.push(t.elapsed().as_secs_f64());
     }
-    let (best, sd) = crate::variance::best_and_sd(&samples);
+    let (best, sd) = bench::best_and_sd(&samples);
     rows.push(PerfRow {
         label: "prepare".to_owned(),
         ms: best * 1e3,
@@ -193,7 +186,7 @@ pub fn run(quick: bool) -> PerfReport {
         std::hint::black_box(timed.len());
         samples.push(t.elapsed().as_secs_f64() / copies.len() as f64);
     }
-    let (best_par, sd_par) = crate::variance::best_and_sd(&samples);
+    let (best_par, sd_par) = bench::best_and_sd(&samples);
     rows.push(PerfRow {
         label: "prepare_par8".to_owned(),
         ms: best_par * 1e3,
@@ -215,40 +208,66 @@ pub fn run(quick: bool) -> PerfReport {
     }
     let stage = scratch.take_stats();
 
-    PerfReport { bytes: code.len(), reps, host: crate::host::host(), stage, rows }
+    PerfReport { bytes: code.len(), reps, host: bench::host(), stage, rows }
 }
 
-impl PerfReport {
-    /// Human-readable per-stage report.
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        s.push_str(&format!(
-            "tiled .text: {:.1} MiB, best of {} runs\n\n",
-            self.bytes as f64 / (1024.0 * 1024.0),
-            self.reps
-        ));
-        s.push_str(&format!(
-            "{:<12} {:>9} {:>8} {:>9} {:>7} {:>10} {:>10} {:>9} {:>9}\n",
-            "config", "ms", "±sd", "MB/s", "shards", "insns", "fast-path", "decode", "stitch"
-        ));
-        for r in &self.rows {
-            s.push_str(&format!(
-                "{:<12} {:>9.2} {:>8.2} {:>9.1} {:>7} {:>10} {:>9.1}% {:>8.2}ms {:>7.2}ms\n",
-                r.label,
-                r.ms,
-                r.sd_ms,
-                r.mb_per_s,
-                r.stats.shards,
-                r.stats.insns,
-                r.stats.fast_path_rate() * 100.0,
-                r.stats.decode_ns as f64 / 1e6,
-                r.stats.stitch_ns as f64 / 1e6,
-            ));
+impl Report for PerfReport {
+    const SCHEMA: &'static str = bench::SWEEP;
+    const DOING: &'static str = "measuring sweep throughput";
+    const TITLE: &'static str = "Sweep performance";
+
+    fn entry(&self) -> Entry {
+        let rows = self.rows.iter().map(|r| {
+            Row::new(
+                &r.label,
+                vec![
+                    ("ms", Value::F3(r.ms)),
+                    ("sd_ms", Value::F3(r.sd_ms)),
+                    ("mb_per_s", Value::F1(r.mb_per_s)),
+                    ("fast_path_rate", Value::F4(r.stats.fast_path_rate())),
+                    ("insns", r.stats.insns.into()),
+                ],
+            )
+        });
+        Entry {
+            header: vec![("bytes", self.bytes.into()), ("reps", self.reps.into())],
+            host: self.host.clone(),
+            rows: rows.collect(),
         }
-        s.push_str(&format!(
-            "\nanalyzer stages (4 configs, benchmark binary): filter {:.3}ms, tailcall \
-             {:.3}ms, bounds {:.3}ms, interproc {:.3}ms ({} entry / {} tail / {} final \
-             candidates)\n",
+    }
+
+    fn render(&self) -> String {
+        let mut t = Table::new([
+            "config",
+            "ms",
+            "±sd",
+            "MB/s",
+            "shards",
+            "insns",
+            "fast-path",
+            "decode",
+            "stitch",
+        ]);
+        for r in &self.rows {
+            t.row([
+                r.label.clone(),
+                format!("{:.2}", r.ms),
+                format!("{:.2}", r.sd_ms),
+                format!("{:.1}", r.mb_per_s),
+                r.stats.shards.to_string(),
+                r.stats.insns.to_string(),
+                format!("{:.1}%", r.stats.fast_path_rate() * 100.0),
+                format!("{:.2}ms", r.stats.decode_ns as f64 / 1e6),
+                format!("{:.2}ms", r.stats.stitch_ns as f64 / 1e6),
+            ]);
+        }
+        format!(
+            "tiled .text: {:.1} MiB, best of {} runs\n\n{}\nanalyzer stages (4 configs, \
+             benchmark binary): filter {:.3}ms, tailcall {:.3}ms, bounds {:.3}ms, interproc \
+             {:.3}ms ({} entry / {} tail / {} final candidates)\n",
+            self.bytes as f64 / (1024.0 * 1024.0),
+            self.reps,
+            t.render(),
             self.stage.filter_ns as f64 / 1e6,
             self.stage.tailcall_ns as f64 / 1e6,
             self.stage.boundaries_ns as f64 / 1e6,
@@ -256,117 +275,26 @@ impl PerfReport {
             self.stage.entry_candidates,
             self.stage.tail_candidates,
             self.stage.final_candidates,
-        ));
-        s
+        )
     }
 
-    /// The trajectory entry for this run, as a JSON object literal.
-    ///
-    /// `label` names the code state being measured (e.g. `pre`, `post`,
-    /// a short description of a change).
-    pub fn json_entry(&self, label: &str) -> String {
-        let mut s = String::new();
-        s.push_str(&format!(
-            "    {{\"label\": {:?}, \"bytes\": {}, \"reps\": {}, {}, \"rows\": [\n",
-            label,
-            self.bytes,
-            self.reps,
-            self.host.json_fields()
-        ));
-        for (i, r) in self.rows.iter().enumerate() {
-            s.push_str(&format!(
-                "      {{\"config\": {:?}, \"ms\": {:.3}, \"sd_ms\": {:.3}, \
-                 \"mb_per_s\": {:.1}, \"fast_path_rate\": {:.4}, \"insns\": {}}}{}\n",
-                r.label,
-                r.ms,
-                r.sd_ms,
-                r.mb_per_s,
-                r.stats.fast_path_rate(),
-                r.stats.insns,
-                if i + 1 < self.rows.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("    ]}");
-        s
-    }
-
-    /// Wraps [`PerfReport::json_entry`] values into a complete
-    /// `BENCH_sweep.json` document.
-    pub fn json_document(entries: &[String]) -> String {
-        crate::trajectory::json_document(SCHEMA, entries)
-    }
-
-    /// Appends this run as a new entry to an existing document (or
-    /// starts a fresh one when `existing` is `None`/unparsable).
-    pub fn append_to_document(&self, existing: Option<&str>, label: &str) -> String {
-        crate::trajectory::append_entry(existing, SCHEMA, self.json_entry(label))
-    }
-}
-
-/// The newest `mb_per_s` recorded for `config` in a committed
-/// `BENCH_sweep.json`, if any.
-pub fn last_mb_per_s(doc: &str, config: &str) -> Option<f64> {
-    crate::trajectory::last_value(doc, config, "mb_per_s")
-}
-
-/// CI regression gate: compares the fresh report's sequential throughput
-/// against the newest committed entry, failing if it fell below
-/// `min_ratio` (e.g. `0.7` = fail on a >30 % regression). The threshold
-/// is **tolerance-aware**: it is widened by the run-to-run noise both
-/// sides recorded (see [`crate::variance::noise_tolerance`]), so jitter
-/// on a loaded machine doesn't trip the gate.
-pub fn check_against(
-    committed: &str,
-    fresh: &PerfReport,
-    min_ratio: f64,
-) -> Result<String, String> {
-    let Some(baseline) = last_mb_per_s(committed, "sequential") else {
-        return Err("committed BENCH_sweep.json has no sequential entry".into());
-    };
-    let Some(now) = fresh.rows.iter().find(|r| r.label == "sequential") else {
-        return Err("fresh measurement has no sequential row".into());
-    };
-    let committed_cores = crate::trajectory::last_row_meta(committed, "sequential", "cores_used");
-    if !fresh.host.comparable_with(committed_cores) {
-        return Ok(format!(
-            "skipped: committed sequential entry was measured with {} cores, this run uses {} — \
-             not comparable",
-            committed_cores.unwrap_or(0.0),
-            fresh.host.cores_used
-        ));
-    }
-    let rel_committed = crate::trajectory::last_value(committed, "sequential", "sd_ms")
-        .zip(crate::trajectory::last_value(committed, "sequential", "ms"))
-        .map_or(0.0, |(sd, ms)| if ms > 0.0 { sd / ms } else { 0.0 });
-    let rel_fresh = if now.ms > 0.0 { now.sd_ms / now.ms } else { 0.0 };
-    let tol = crate::variance::noise_tolerance(rel_committed, rel_fresh);
-    let threshold = min_ratio * (1.0 - tol);
-    let ratio = now.mb_per_s / baseline;
-    let msg = format!(
-        "sequential sweep: {:.1} MB/s vs committed {:.1} MB/s ({:.0}% of baseline, \
-         threshold {:.0}% incl. {:.0}% noise tolerance)",
-        now.mb_per_s,
-        baseline,
-        ratio * 100.0,
-        threshold * 100.0,
-        tol * 100.0,
-    );
-    if ratio < threshold {
-        Err(msg)
-    } else {
-        Ok(msg)
+    /// Gates sequential throughput (MB/s) against the newest committed
+    /// entry.
+    fn check(&self, committed: &str, min_ratio: f64) -> Result<String, String> {
+        bench::ratio_gate(committed, &self.entry(), "sequential", "mb_per_s", min_ratio)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bench::Gated;
 
     fn fake_report() -> PerfReport {
         PerfReport {
             bytes: 2 << 20,
             reps: 3,
-            host: crate::host::host(),
+            host: bench::host(),
             stage: funseeker::StageStats::default(),
             rows: vec![
                 PerfRow {
@@ -387,67 +315,26 @@ mod tests {
         }
     }
 
-    #[test]
-    fn json_round_trip_and_append() {
-        let r = fake_report();
-        let doc = r.append_to_document(None, "pre");
-        assert!(doc.contains("funseeker-bench-sweep-v1"));
-        assert_eq!(last_mb_per_s(&doc, "sequential"), Some(200.0));
-        // Appending keeps the old entry and the parser sees the newest.
-        let mut r2 = fake_report();
-        r2.rows[0].mb_per_s = 321.0;
-        let doc2 = r2.append_to_document(Some(&doc), "post");
-        assert_eq!(crate::trajectory::extract_entries(&doc2).len(), 2);
-        assert!(doc2.contains("\"label\": \"pre\""));
-        assert_eq!(last_mb_per_s(&doc2, "sequential"), Some(321.0));
-        assert_eq!(last_mb_per_s(&doc2, "shard4"), Some(222.2));
-        assert_eq!(last_mb_per_s(&doc2, "shard16"), None);
+    impl PerfReport {
+        pub(crate) fn fake(g: Gated) -> Self {
+            let mut r = fake_report();
+            r.host.cores_used = g.cores;
+            let seq = &mut r.rows[0];
+            (seq.mb_per_s, seq.ms, seq.sd_ms) = (g.value, g.ms, g.sd_ms);
+            r
+        }
     }
 
     #[test]
-    fn regression_gate_passes_and_fails() {
-        let r = fake_report();
-        let doc = r.append_to_document(None, "pre");
-        assert!(check_against(&doc, &r, 0.7).is_ok());
-        let mut slow = fake_report();
-        slow.rows[0].mb_per_s = 100.0; // 50% of committed
-        assert!(check_against(&doc, &slow, 0.7).is_err());
-        let mut fastr = fake_report();
-        fastr.rows[0].mb_per_s = 500.0;
-        assert!(check_against(&doc, &fastr, 0.7).is_ok());
+    fn entry_bytes_are_unchanged() {
+        let r = PerfReport { host: bench::test_host(), ..fake_report() };
+        assert_eq!(r.entry().write("golden"), GOLDEN);
     }
 
-    #[test]
-    fn regression_gate_widens_with_recorded_noise() {
-        // A run sitting just below the plain threshold passes once its
-        // recorded run-to-run noise is taken into account, and the gate
-        // still fails a real regression far outside the noise band.
-        let mut noisy = fake_report();
-        noisy.rows[0].sd_ms = 0.8; // 8% relative noise
-        let doc = noisy.append_to_document(None, "pre");
-        let mut fresh = fake_report();
-        fresh.rows[0].sd_ms = 0.8;
-        fresh.rows[0].mb_per_s = 136.0; // 68% of baseline: < 0.7 plain
-        let msg = check_against(&doc, &fresh, 0.7).expect("within noise tolerance");
-        assert!(msg.contains("noise tolerance"), "{msg}");
-        fresh.rows[0].mb_per_s = 90.0; // 45%: regression beyond any tolerance
-        assert!(check_against(&doc, &fresh, 0.7).is_err());
-    }
-
-    #[test]
-    fn regression_gate_skips_on_core_count_mismatch() {
-        let mut wide = fake_report();
-        wide.host.cores_used = 8;
-        let doc = wide.append_to_document(None, "wide");
-        let mut narrow = fake_report();
-        narrow.host.cores_used = 1;
-        narrow.rows[0].mb_per_s = 50.0; // would fail hard if compared
-        let msg = check_against(&doc, &narrow, 0.7).expect("mismatched cores must skip");
-        assert!(msg.contains("not comparable"), "{msg}");
-        // Same width: the gate compares for real again.
-        narrow.host.cores_used = 8;
-        assert!(check_against(&doc, &narrow, 0.7).is_err());
-    }
+    const GOLDEN: &str = r#"    {"label": "golden", "bytes": 2097152, "reps": 3, "cores_used": 2, "avail_par": 8, "tier": "avx2", "rows": [
+      {"config": "sequential", "ms": 10.000, "sd_ms": 0.200, "mb_per_s": 200.0, "fast_path_rate": 0.0000, "insns": 0},
+      {"config": "shard4", "ms": 9.000, "sd_ms": 0.100, "mb_per_s": 222.2, "fast_path_rate": 0.0000, "insns": 0}
+    ]}"#;
 
     #[test]
     fn quick_measurement_produces_sane_rows() {

@@ -27,7 +27,7 @@ use funseeker_client::{AnalyzeReply, Client, ClientError};
 use funseeker_server::{Server, ServerConfig};
 
 use crate::batch::peak_rss_kb;
-use crate::trajectory;
+use crate::bench::{self, Entry, Host, Report, Row, Value};
 
 /// Give up on a request after this many consecutive `Busy` refusals —
 /// a server this saturated for this long is a harness failure, not
@@ -75,7 +75,7 @@ pub struct ServeReport {
     pub peak_rss_kb: u64,
     /// Execution environment of the run (pool width, host cores,
     /// kernel tier).
-    pub host: crate::host::Host,
+    pub host: Host,
     /// Measured workloads.
     pub rows: Vec<ServeRow>,
 }
@@ -248,40 +248,48 @@ fn percentile(sorted_us: &[u64], p: f64) -> u64 {
     sorted_us[rank.min(sorted_us.len()) - 1]
 }
 
-/// Runs the measurement. `quick` shrinks the fleet, corpus, and
-/// repetition count for CI smoke use.
-pub fn run(quick: bool) -> ServeReport {
-    let (images, distinct) = crate::batch::corpus(quick);
-    let config = Config::c4();
-    // Ground truth: the direct batch-engine analysis of every corpus
-    // image — the daemon must reproduce these bit for bit.
-    let expected: Vec<Arc<Analysis>> =
-        funseeker_batch::run(&images, std::slice::from_ref(&config), &BatchOptions::default())
-            .results
-            .into_iter()
-            .map(|mut per_config| per_config.remove(0).expect("benchmark corpus parses"))
-            .collect();
+/// A daemon on a fresh unix socket and the corpus its client fleet
+/// submits, with the answers every reply must match.
+struct Fleet {
+    server: Server,
+    addr: String,
+    images: Vec<Vec<u8>>,
+    /// The direct batch-engine analysis of every image — the daemon
+    /// must reproduce these bit for bit.
+    expected: Vec<Arc<Analysis>>,
+    threads: usize,
+    per_thread: usize,
+}
 
-    let threads = if quick { 16 } else { 1024 };
-    let per_thread = if quick { 8 } else { 4 };
-    let reps = 2;
+impl Fleet {
+    fn start(images: Vec<Vec<u8>>, sock_tag: &str, threads: usize, per_thread: usize) -> Fleet {
+        let config = Config::c4();
+        let expected =
+            funseeker_batch::run(&images, std::slice::from_ref(&config), &BatchOptions::default())
+                .results
+                .into_iter()
+                .map(|mut per_config| per_config.remove(0).expect("benchmark corpus parses"))
+                .collect();
+        let sock = std::env::temp_dir().join(format!("{sock_tag}-{}.sock", std::process::id()));
+        let mut server_config = ServerConfig::unix(&sock);
+        server_config.max_connections = threads + 8;
+        let server = Server::start(server_config).expect("bind benchmark socket");
+        let addr = server.addr().to_string();
+        Fleet { server, addr, images, expected, threads, per_thread }
+    }
 
-    let sock = std::env::temp_dir().join(format!("fs-serve-bench-{}.sock", std::process::id()));
-    let mut server_config = ServerConfig::unix(&sock);
-    server_config.max_connections = threads + 8;
-    let server = Server::start(server_config).expect("bind benchmark socket");
-    let addr = server.addr().to_string();
-
-    let mut rows = Vec::new();
-    let mut measure = |label: &str, distinct_salt: Option<u64>| {
+    /// The best of `reps` barrages as one row. `distinct_salt` makes
+    /// every submission content-unique; it folds in the rep index, so
+    /// reps stay distinct from each other too.
+    fn row(&self, label: &str, reps: usize, distinct_salt: Option<u64>) -> ServeRow {
         let mut best: Option<Barrage> = None;
         let mut samples = Vec::with_capacity(reps);
         let mut peak_open = 0u64;
         for rep in 0..reps as u64 {
-            // Distinct-heavy reps stay distinct across reps too: the
-            // salt folds the rep index into every tag.
             let salt = distinct_salt.map(|s| s ^ (rep << 56));
-            let sample = barrage(&addr, &images, &expected, threads, per_thread, salt);
+            let (threads, per_thread) = (self.threads, self.per_thread);
+            let sample =
+                barrage(&self.addr, &self.images, &self.expected, threads, per_thread, salt);
             samples.push(sample.elapsed_s);
             peak_open = peak_open.max(sample.peak_open);
             if best.as_ref().is_none_or(|b| sample.elapsed_s < b.elapsed_s) {
@@ -289,13 +297,10 @@ pub fn run(quick: bool) -> ServeReport {
             }
         }
         let best = best.expect("at least one rep");
-        let (best_s, sd_s) = crate::variance::best_and_sd(&samples);
-        let requests = threads * per_thread;
-        let hit_rate = {
-            let mut probe = connect_retry(&addr);
-            probe.stats().map(|s| s.hit_rate()).unwrap_or(0.0)
-        };
-        rows.push(ServeRow {
+        let (best_s, sd_s) = bench::best_and_sd(&samples);
+        let requests = self.threads * self.per_thread;
+        let hit_rate = connect_retry(&self.addr).stats().map(|s| s.hit_rate()).unwrap_or(0.0);
+        ServeRow {
             label: label.to_owned(),
             ms: best_s * 1e3,
             sd_ms: sd_s * 1e3,
@@ -306,21 +311,35 @@ pub fn run(quick: bool) -> ServeReport {
             hit_rate,
             peak_open,
             requests,
-        });
-    };
+        }
+    }
 
-    measure("serve_dup", None);
-    measure("serve_distinct", Some(0x5eed_d157_1c47));
-    server.shutdown();
-    server.join();
+    fn stop(self) {
+        self.server.shutdown();
+        self.server.join();
+    }
+}
 
+/// Runs the measurement. `quick` shrinks the fleet, corpus, and
+/// repetition count for CI smoke use.
+pub fn run(quick: bool) -> ServeReport {
+    let (images, distinct) = crate::batch::corpus(quick);
+    let threads = if quick { 16 } else { 1024 };
+    let per_thread = if quick { 8 } else { 4 };
+    let reps = 2;
+    let fleet = Fleet::start(images, "fs-serve-bench", threads, per_thread);
+    let rows = vec![
+        fleet.row("serve_dup", reps, None),
+        fleet.row("serve_distinct", reps, Some(0x5eed_d157_1c47)),
+    ];
+    fleet.stop();
     ServeReport {
         threads,
         per_thread,
         distinct,
         reps,
         peak_rss_kb: peak_rss_kb(),
-        host: crate::host::host(),
+        host: bench::host(),
         rows,
     }
 }
@@ -334,186 +353,73 @@ pub fn run(quick: bool) -> ServeReport {
 /// the measured row (throughput, p50/p99, `Busy` count).
 pub(crate) fn distinct_probe(quick: bool) -> ServeRow {
     let (images, _) = crate::batch::corpus(quick);
-    let config = Config::c4();
-    let expected: Vec<Arc<Analysis>> =
-        funseeker_batch::run(&images, std::slice::from_ref(&config), &BatchOptions::default())
-            .results
-            .into_iter()
-            .map(|mut per_config| per_config.remove(0).expect("benchmark corpus parses"))
-            .collect();
-
     let threads = if quick { 16 } else { 256 };
     let per_thread = if quick { 4 } else { 8 };
-    let reps = 2;
-
-    let sock = std::env::temp_dir().join(format!("fs-mc-bench-{}.sock", std::process::id()));
-    let mut server_config = ServerConfig::unix(&sock);
-    server_config.max_connections = threads + 8;
-    let server = Server::start(server_config).expect("bind multicore bench socket");
-    let addr = server.addr().to_string();
-
-    let mut best: Option<Barrage> = None;
-    let mut samples = Vec::with_capacity(reps);
-    let mut peak_open = 0u64;
-    for rep in 0..reps as u64 {
-        let salt = Some(0x3c0_7e5 ^ (rep << 56));
-        let sample = barrage(&addr, &images, &expected, threads, per_thread, salt);
-        samples.push(sample.elapsed_s);
-        peak_open = peak_open.max(sample.peak_open);
-        if best.as_ref().is_none_or(|b| sample.elapsed_s < b.elapsed_s) {
-            best = Some(sample);
-        }
-    }
-    let best = best.expect("at least one rep");
-    let (best_s, sd_s) = crate::variance::best_and_sd(&samples);
-    let requests = threads * per_thread;
-    let hit_rate = {
-        let mut probe = connect_retry(&addr);
-        probe.stats().map(|s| s.hit_rate()).unwrap_or(0.0)
-    };
-    server.shutdown();
-    server.join();
-    ServeRow {
-        label: "mc_serve_distinct".to_owned(),
-        ms: best_s * 1e3,
-        sd_ms: sd_s * 1e3,
-        req_per_s: requests as f64 / best_s,
-        p50_us: percentile(&best.latencies_us, 0.50),
-        p99_us: percentile(&best.latencies_us, 0.99),
-        busy: best.busy,
-        hit_rate,
-        peak_open,
-        requests,
-    }
+    let fleet = Fleet::start(images, "fs-mc-bench", threads, per_thread);
+    let row = fleet.row("mc_serve_distinct", 2, Some(0x3c0_7e5));
+    fleet.stop();
+    row
 }
 
-impl ServeReport {
-    /// Human-readable report.
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        s.push_str(&format!(
-            "fleet: {} concurrent clients × {} requests, {} distinct corpus images, \
-             best of {} reps, peak RSS {:.1} MiB\n\n",
+impl Report for ServeReport {
+    const SCHEMA: &'static str = bench::BATCH;
+    const DOING: &'static str = "load-testing the daemon";
+    const TITLE: &'static str = "Serving-layer load test";
+
+    fn entry(&self) -> Entry {
+        let rows = self.rows.iter().map(|r| {
+            Row::new(
+                &r.label,
+                vec![
+                    ("ms", Value::F3(r.ms)),
+                    ("sd_ms", Value::F3(r.sd_ms)),
+                    ("req_per_s", Value::F1(r.req_per_s)),
+                    ("p50_us", r.p50_us.into()),
+                    ("p99_us", r.p99_us.into()),
+                    ("busy", r.busy.into()),
+                    ("hit_rate", Value::F4(r.hit_rate)),
+                    ("peak_open", r.peak_open.into()),
+                    ("requests", r.requests.into()),
+                ],
+            )
+        });
+        Entry {
+            header: vec![
+                ("threads", self.threads.into()),
+                ("per_thread", self.per_thread.into()),
+                ("distinct", self.distinct.into()),
+                ("reps", self.reps.into()),
+                ("peak_rss_kb", self.peak_rss_kb.into()),
+            ],
+            host: self.host.clone(),
+            rows: rows.collect(),
+        }
+    }
+
+    fn render(&self) -> String {
+        format!(
+            "fleet: {} concurrent clients × {} requests, {} distinct corpus images, best of {} \
+             reps, peak RSS {:.1} MiB\n\n{}",
             self.threads,
             self.per_thread,
             self.distinct,
             self.reps,
             self.peak_rss_kb as f64 / 1024.0,
-        ));
-        s.push_str(&format!(
-            "{:<15} {:>10} {:>8} {:>10} {:>9} {:>9} {:>7} {:>9} {:>10}\n",
-            "workload", "ms", "±sd", "req/s", "p50 µs", "p99 µs", "busy", "hit-rate", "peak conns"
-        ));
-        for r in &self.rows {
-            s.push_str(&format!(
-                "{:<15} {:>10.1} {:>8.1} {:>10.1} {:>9} {:>9} {:>7} {:>8.0}% {:>10}\n",
-                r.label,
-                r.ms,
-                r.sd_ms,
-                r.req_per_s,
-                r.p50_us,
-                r.p99_us,
-                r.busy,
-                r.hit_rate * 100.0,
-                r.peak_open,
-            ));
-        }
-        s
+            self.entry().table().render(),
+        )
     }
 
-    /// The trajectory entry for this run, as a JSON object literal
-    /// (same document and schema as the batch rows).
-    pub fn json_entry(&self, label: &str) -> String {
-        let mut s = String::new();
-        s.push_str(&format!(
-            "    {{\"label\": {:?}, \"threads\": {}, \"per_thread\": {}, \"distinct\": {}, \
-             \"reps\": {}, \"peak_rss_kb\": {}, {}, \"rows\": [\n",
-            label,
-            self.threads,
-            self.per_thread,
-            self.distinct,
-            self.reps,
-            self.peak_rss_kb,
-            self.host.json_fields()
-        ));
-        for (i, r) in self.rows.iter().enumerate() {
-            s.push_str(&format!(
-                "      {{\"config\": {:?}, \"ms\": {:.3}, \"sd_ms\": {:.3}, \
-                 \"req_per_s\": {:.1}, \"p50_us\": {}, \"p99_us\": {}, \"busy\": {}, \
-                 \"hit_rate\": {:.4}, \"peak_open\": {}, \"requests\": {}}}{}\n",
-                r.label,
-                r.ms,
-                r.sd_ms,
-                r.req_per_s,
-                r.p50_us,
-                r.p99_us,
-                r.busy,
-                r.hit_rate,
-                r.peak_open,
-                r.requests,
-                if i + 1 < self.rows.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("    ]}");
-        s
-    }
-
-    /// Appends this run as a new entry to an existing `BENCH_batch.json`
-    /// document (or starts a fresh one).
-    pub fn append_to_document(&self, existing: Option<&str>, label: &str) -> String {
-        trajectory::append_entry(existing, crate::batch::SCHEMA, self.json_entry(label))
-    }
-}
-
-/// CI regression gate: compares the fresh duplicate-heavy throughput
-/// against the newest committed `serve_dup` row, noise-widened like the
-/// batch gate.
-pub fn check_against(
-    committed: &str,
-    fresh: &ServeReport,
-    min_ratio: f64,
-) -> Result<String, String> {
-    let Some(baseline) = trajectory::last_value(committed, "serve_dup", "req_per_s") else {
-        return Err("committed BENCH_batch.json has no serve_dup entry".into());
-    };
-    let Some(now) = fresh.rows.iter().find(|r| r.label == "serve_dup") else {
-        return Err("fresh measurement has no serve_dup row".into());
-    };
-    let committed_cores = trajectory::last_row_meta(committed, "serve_dup", "cores_used");
-    if !fresh.host.comparable_with(committed_cores) {
-        return Ok(format!(
-            "skipped: committed serve_dup entry was measured with {} cores, this run uses {} — \
-             not comparable",
-            committed_cores.unwrap_or(0.0),
-            fresh.host.cores_used
-        ));
-    }
-    let rel_committed = trajectory::last_value(committed, "serve_dup", "sd_ms")
-        .zip(trajectory::last_value(committed, "serve_dup", "ms"))
-        .map_or(0.0, |(sd, ms)| if ms > 0.0 { sd / ms } else { 0.0 });
-    let rel_fresh = if now.ms > 0.0 { now.sd_ms / now.ms } else { 0.0 };
-    let tol = crate::variance::noise_tolerance(rel_committed, rel_fresh);
-    let threshold = min_ratio * (1.0 - tol);
-    let ratio = now.req_per_s / baseline;
-    let msg = format!(
-        "duplicate-heavy serving: {:.1} req/s vs committed {:.1} req/s ({:.0}% of baseline, \
-         threshold {:.0}% incl. {:.0}% noise tolerance)",
-        now.req_per_s,
-        baseline,
-        ratio * 100.0,
-        threshold * 100.0,
-        tol * 100.0,
-    );
-    if ratio < threshold {
-        Err(msg)
-    } else {
-        Ok(msg)
+    /// Gates duplicate-heavy throughput (req/s) against the newest
+    /// committed entry.
+    fn check(&self, committed: &str, min_ratio: f64) -> Result<String, String> {
+        bench::ratio_gate(committed, &self.entry(), "serve_dup", "req_per_s", min_ratio)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bench::Gated;
 
     fn fake_report() -> ServeReport {
         ServeReport {
@@ -522,7 +428,7 @@ mod tests {
             distinct: 12,
             reps: 2,
             peak_rss_kb: 50_000,
-            host: crate::host::host(),
+            host: bench::host(),
             rows: vec![
                 ServeRow {
                     label: "serve_dup".into(),
@@ -552,23 +458,26 @@ mod tests {
         }
     }
 
-    #[test]
-    fn json_round_trip_and_gate() {
-        let r = fake_report();
-        let doc = r.append_to_document(None, "pre");
-        assert!(doc.contains(crate::batch::SCHEMA));
-        assert_eq!(trajectory::last_value(&doc, "serve_dup", "req_per_s"), Some(1600.0));
-        assert_eq!(trajectory::last_value(&doc, "serve_distinct", "busy"), Some(210.0));
-        assert!(check_against(&doc, &r, 0.7).is_ok());
-        let mut slow = fake_report();
-        slow.rows[0].req_per_s = 100.0;
-        assert!(check_against(&doc, &slow, 0.7).is_err());
-        // Re-appending keeps the newest entry authoritative.
-        let mut faster = fake_report();
-        faster.rows[0].req_per_s = 2000.0;
-        let doc2 = faster.append_to_document(Some(&doc), "post");
-        assert_eq!(trajectory::last_value(&doc2, "serve_dup", "req_per_s"), Some(2000.0));
+    impl ServeReport {
+        pub(crate) fn fake(g: Gated) -> Self {
+            let mut r = fake_report();
+            r.host.cores_used = g.cores;
+            let dup = &mut r.rows[0];
+            (dup.req_per_s, dup.ms, dup.sd_ms) = (g.value, g.ms, g.sd_ms);
+            r
+        }
     }
+
+    #[test]
+    fn entry_bytes_are_unchanged() {
+        let r = ServeReport { host: bench::test_host(), ..fake_report() };
+        assert_eq!(r.entry().write("golden"), GOLDEN);
+    }
+
+    const GOLDEN: &str = r#"    {"label": "golden", "threads": 16, "per_thread": 8, "distinct": 12, "reps": 2, "peak_rss_kb": 50000, "cores_used": 2, "avail_par": 8, "tier": "avx2", "rows": [
+      {"config": "serve_dup", "ms": 80.000, "sd_ms": 4.000, "req_per_s": 1600.0, "p50_us": 900, "p99_us": 9000, "busy": 0, "hit_rate": 0.9300, "peak_open": 17, "requests": 128},
+      {"config": "serve_distinct", "ms": 300.000, "sd_ms": 10.000, "req_per_s": 426.0, "p50_us": 2000, "p99_us": 40000, "busy": 210, "hit_rate": 0.5000, "peak_open": 17, "requests": 128}
+    ]}"#;
 
     #[test]
     fn percentiles_are_sane() {

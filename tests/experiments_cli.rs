@@ -58,6 +58,43 @@ fn callgraph_reports_edge_scores() {
 }
 
 #[test]
+fn callgraph_appends_then_gates_through_the_binary() {
+    let dir = std::env::temp_dir().join(format!("experiments-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let doc = dir.join("BENCH_callgraph.json");
+    let _ = std::fs::remove_file(&doc);
+    let doc_arg = doc.to_str().unwrap();
+    // Append the fresh run, then gate it against the entry it just wrote.
+    let (_, stderr, ok) =
+        run_experiments(&["callgraph", "--quick", "--json", doc_arg, "--check", doc_arg]);
+    assert!(ok, "stderr: {stderr}");
+    assert!(stderr.contains("appended entry \"run\""), "{stderr}");
+    assert!(stderr.contains("callgraph check OK"), "{stderr}");
+
+    // A committed baseline ten times faster than any fresh run must fail.
+    let written = std::fs::read_to_string(&doc).unwrap();
+    let inflated: String = written
+        .lines()
+        .map(|line| match line.split_once("\"mb_per_s\": ") {
+            Some((head, rest)) => {
+                let end = rest.find(',').unwrap();
+                let value: f64 = rest[..end].parse().unwrap();
+                format!("{head}\"mb_per_s\": {:.1}{}\n", value * 10.0, &rest[end..])
+            }
+            None => format!("{line}\n"),
+        })
+        .collect();
+    assert_ne!(inflated, written, "the entry carries an mb_per_s value");
+    let faster = dir.join("BENCH_callgraph_x10.json");
+    std::fs::write(&faster, inflated).unwrap();
+    let (_, stderr, ok) =
+        run_experiments(&["callgraph", "--quick", "--check", faster.to_str().unwrap()]);
+    assert!(!ok, "a 10x faster baseline must fail the gate; stderr: {stderr}");
+    assert!(stderr.contains("callgraph check FAILED"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn bad_arguments_exit_nonzero() {
     let (_, _, ok) = run_experiments(&["no-such-table"]);
     assert!(!ok);

@@ -53,19 +53,38 @@ int main(int argc, char **argv) {
 }
 "#;
 
-fn build(opt: &str) -> Option<PathBuf> {
-    let dir = std::env::temp_dir().join("funseeker_real_toolchain");
-    std::fs::create_dir_all(&dir).ok()?;
-    let src = dir.join("prog.c");
-    let bin = dir.join(format!("prog_{}", opt.trim_start_matches('-')));
-    std::fs::write(&src, SOURCE).ok()?;
-    let status = Command::new("gcc")
-        .args([opt, "-fcf-protection=full", "-o"])
-        .arg(&bin)
-        .arg(&src)
-        .status()
-        .ok()?;
-    status.success().then_some(bin)
+/// One test's build directory, so tests running in parallel never share
+/// `prog.c` or a binary; removed when the test ends.
+struct Workdir(PathBuf);
+
+impl Workdir {
+    fn new(tag: &str) -> Workdir {
+        let dir = std::env::temp_dir()
+            .join(format!("funseeker_real_toolchain-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        Workdir(dir)
+    }
+
+    /// Compiles [`SOURCE`] at `opt`; `None` when gcc is unavailable.
+    fn build(&self, opt: &str) -> Option<PathBuf> {
+        std::fs::create_dir_all(&self.0).ok()?;
+        let src = self.0.join("prog.c");
+        let bin = self.0.join(format!("prog_{}", opt.trim_start_matches('-')));
+        std::fs::write(&src, SOURCE).ok()?;
+        let status = Command::new("gcc")
+            .args([opt, "-fcf-protection=full", "-o"])
+            .arg(&bin)
+            .arg(&src)
+            .status()
+            .ok()?;
+        status.success().then_some(bin)
+    }
+}
+
+impl Drop for Workdir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// Function symbols inside `.text`, excluding fragments (§V-A1).
@@ -95,9 +114,10 @@ fn our_function_addrs(bytes: &[u8], names: &[&str]) -> Vec<(String, u64)> {
 
 #[test]
 fn funseeker_on_real_gcc_binaries() {
+    let work = Workdir::new("recall");
     let mut tested = 0;
     for opt in ["-O0", "-O1", "-O2", "-O3", "-Os"] {
-        let Some(bin) = build(opt) else {
+        let Some(bin) = work.build(opt) else {
             eprintln!("skipping: gcc unavailable");
             return;
         };
@@ -139,7 +159,8 @@ fn funseeker_on_real_gcc_binaries() {
 
 #[test]
 fn filtering_matters_on_real_binaries() {
-    let Some(bin) = build("-O2") else {
+    let work = Workdir::new("filtering");
+    let Some(bin) = work.build("-O2") else {
         eprintln!("skipping: gcc unavailable");
         return;
     };
@@ -153,7 +174,8 @@ fn filtering_matters_on_real_binaries() {
 
 #[test]
 fn stripped_binary_gives_identical_results() {
-    let Some(bin) = build("-O2") else {
+    let work = Workdir::new("stripped");
+    let Some(bin) = work.build("-O2") else {
         eprintln!("skipping: gcc unavailable");
         return;
     };
